@@ -4,9 +4,9 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <fstream>
 #include <iostream>
 
+#include "svc/fsio.hpp"
 #include "util/parallel.hpp"
 
 namespace razorbus::bench {
@@ -122,12 +122,14 @@ int run_scenario(int argc, char** argv, const Scenario& scenario) {
       report.set("metrics", std::move(ctx.metrics_));
       report.set("notes", std::move(ctx.notes_));
       report.set("tables", std::move(ctx.tables_));
-      std::ofstream out(json_path, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      // Published atomically (temp + rename): two concurrent runs of one
+      // job each leave a complete report, never an interleaved one.
+      try {
+        svc::write_file_atomic(json_path, report.dump(2) + "\n");
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(), e.what());
         return 1;
       }
-      out << report.dump(2) << "\n";
       std::fprintf(stderr, "[wrote %s]\n", json_path.c_str());
     }
     return 0;

@@ -140,6 +140,7 @@ ClusterResult ClusterCharacterizer::run(const ClusterSpec& spec) const {
                                          cg_seg + 4.0 * cc_seg, c_rx, n_seg);
   spice::TransientConfig config;
   config.dt = kDt;
+  config.solver = spec.solver;
   config.t_stop = std::min(5e-9, std::max(1.0e-9, kEventTime + 3.0 * est));
 
   spice::TransientSimulator sim(circuit, config);

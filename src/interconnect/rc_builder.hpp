@@ -32,6 +32,8 @@ struct ClusterSpec {
   double vdd = 1.2;                  // rail voltage seen by the drivers (V)
   tech::ProcessCorner corner = tech::ProcessCorner::typical;
   double temp_c = 25.0;
+  // Transient solver; the dense reference exists for parity tests.
+  spice::SolverKind solver = spice::SolverKind::banded;
 };
 
 struct ClusterResult {

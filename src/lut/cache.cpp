@@ -5,12 +5,14 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <system_error>
 #include <utility>
 
 #include "lut/point_store.hpp"
+#include "util/lease.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace razorbus::lut {
@@ -108,26 +110,55 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
   const std::shared_ptr<PointStore> store =
       PointStore::open(dir, design_content_hash(design));
 
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      if (auto table = DelayEnergyTable::load(in, hash)) {
-        table->attach_refiner(design, driver, store);  // no-op for dense tables
-        util::MutexLock lock(g_memo_mutex);
-        // emplace keeps the incumbent if another thread raced us here; both
-        // tables are bit-identical (same key), so either copy is the answer.
-        return g_memo.emplace(key, *std::move(table)).first->second;
-      }
+  // A valid published table, memoised, or nothing.
+  auto load_published = [&]() -> std::optional<DelayEnergyTable> {
+    {
+      util::MutexLock lock(g_memo_mutex);
+      const auto it = g_memo.find(key);
+      if (it != g_memo.end()) return it->second;
     }
-  }
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return std::nullopt;
+    auto table = DelayEnergyTable::load(in, hash);
+    if (!table) return std::nullopt;
+    table->attach_refiner(design, driver, store);  // no-op for dense tables
+    util::MutexLock lock(g_memo_mutex);
+    // emplace keeps the incumbent if another thread raced us here; both
+    // tables are bit-identical (same key), so either copy is the answer.
+    return g_memo.emplace(key, *std::move(table)).first->second;
+  };
+  auto build_and_publish = [&] {
+    DelayEnergyTable table =
+        DelayEnergyTable::build(design, driver, config, progress, store.get(), stats);
+    store->flush();
+    table.attach_refiner(design, driver, store);
+    write_cache_file(path, table, hash);
+    util::MutexLock lock(g_memo_mutex);
+    return g_memo.emplace(key, std::move(table)).first->second;
+  };
 
-  DelayEnergyTable table =
-      DelayEnergyTable::build(design, driver, config, progress, store.get(), stats);
-  store->flush();
-  table.attach_refiner(design, driver, store);
-  write_cache_file(path, table, hash);
-  util::MutexLock lock(g_memo_mutex);
-  return g_memo.emplace(key, std::move(table)).first->second;
+  // Single flight: one caller per table — thread or process — holds the
+  // build lease and characterises; the others wait for it to let go and
+  // load what it published. The table is published before the lease is
+  // released, so a waiter that finds no table afterwards knows the leader
+  // failed (threw or died) and competes for the lease again.
+  const std::string lease_path = path + ".lease";
+  while (true) {
+    if (auto table = load_published()) return *std::move(table);
+    std::optional<util::FileLease> lease;
+    try {
+      lease = util::FileLease::try_acquire(lease_path, "lut build");
+    } catch (const std::system_error&) {
+      break;  // no lease possible here (read-only cache dir): just build
+    }
+    if (lease) {
+      // A leader may have published between the load above and the lease.
+      if (auto table = load_published()) return *std::move(table);
+      return build_and_publish();  // the lease releases after the publish
+    }
+    util::FileLease::wait_released(lease_path);
+  }
+  return build_and_publish();
 }
 
 }  // namespace razorbus::lut

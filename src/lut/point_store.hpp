@@ -35,7 +35,10 @@ namespace razorbus::lut {
 // Bump when the transient solver, netlist construction or device models
 // change in a way that alters simulated values: every stored point is
 // keyed under the version, so stale points are simply never hit again.
-constexpr std::uint32_t kSimulatorVersion = 1;
+// History (docs/campaignd.md): 2 — banded solver over a reordered matrix;
+// the new elimination order moves results in the last digits only
+// (tests/spice_parity_test.cpp).
+constexpr std::uint32_t kSimulatorVersion = 2;
 
 // FNV-1a accumulator: the content-hash primitive shared by the table
 // cache key (table_key_hash) and the per-point keys.

@@ -2,11 +2,15 @@
 //
 // Backward-Euler companion models for capacitors keep the step robust across
 // the conductance discontinuities introduced by switch-level drivers. The
-// conductance matrix only changes when a driver toggles, so the dense LU
-// factorization is reused between events. Delay measurements are taken as
-// threshold crossings of node waveforms; energy is the charge delivered by
-// the pull-up rails times the rail voltage (the standard definition used
-// when characterising bus energy per cycle).
+// conductance matrix only changes when a driver toggles, so its
+// factorization is reused between events. Unknowns are numbered by a
+// bandwidth-reducing ordering and the matrix is factored in band storage
+// (solver.hpp); everything the per-step loop touches — RHS injections,
+// capacitor history currents, energy and crossing bookkeeping — is compiled
+// at construction into flat arrays in that matrix-index space. Delay
+// measurements are taken as threshold crossings of node waveforms; energy
+// is the charge delivered by the pull-up rails times the rail voltage (the
+// standard definition used when characterising bus energy per cycle).
 #pragma once
 
 #include <optional>
@@ -25,10 +29,17 @@ namespace razorbus::spice {
 // consistent across the discontinuity.
 enum class Integrator { backward_euler, trapezoidal };
 
+// Linear solver behind the timestep loop. `banded` (the default) reorders
+// the unknowns and factors in band storage. `dense_reference` keeps the
+// netlist's node order and the dense LU: the golden solver that parity
+// tests hold `banded` to (tests/spice_parity_test.cpp).
+enum class SolverKind { banded, dense_reference };
+
 struct TransientConfig {
   double t_stop = 2e-9;   // seconds
   double dt = 0.5e-12;    // timestep
   Integrator integrator = Integrator::backward_euler;
+  SolverKind solver = SolverKind::banded;
   // Nodes whose full waveforms should be recorded (tests/debugging only;
   // crossing detection works for all nodes regardless).
   std::vector<NodeId> record;
@@ -82,32 +93,76 @@ class TransientSimulator {
   TransientResult run();
 
  private:
+  // A capacitor between two unknowns (parallel ones merged).
+  struct CouplingCap {
+    std::size_t a;
+    std::size_t b;
+    double farads;
+  };
+  // One matrix entry (row, column, value), duplicates merged.
+  struct Entry {
+    std::size_t row;
+    std::size_t col;
+    double value;
+  };
+  // A driver in matrix-index space.
+  struct DriverSlot {
+    std::size_t out;   // matrix index of the output node
+    std::size_t in;    // slot of the inverter input (kNoNode: schedule only)
+    double v_rail;
+    double r_up;
+    double r_dn;
+    double threshold;  // inverter input threshold (V)
+  };
   struct DriverState {
     bool up;
     std::size_t next_event;
   };
 
-  void build_matrix();
+  void compile();
+  // Assembles G + g_cap_scale * C + driver conductances and factors it,
+  // then refreshes the per-step terms that change with it (rhs_base_,
+  // node_g_).
+  void factor(double g_cap_scale);
+  void solve(std::vector<double>& x) const;
   void dc_operating_point();
-  double node_voltage(NodeId n) const;
-  double driver_threshold(const Driver& d) const;
   double cap_conductance_scale() const;
+  // Voltage of a slot: unknowns first, then fixed nodes.
+  double slot_voltage(std::size_t slot) const {
+    return slot < n_ ? x_[slot] : fixed_potentials_[slot - n_];
+  }
 
   const Circuit& circuit_;
   TransientConfig config_;
   double threshold_fraction_;
-  double max_rail_;
+  double max_rail_ = 0.0;
 
-  // Mapping from circuit nodes to matrix rows (fixed nodes excluded).
-  std::vector<std::size_t> matrix_index_;   // per node; kNoNode-like for fixed
-  std::vector<NodeId> unknown_nodes_;       // matrix row -> node
+  // --- compiled at construction (matrix-index space) ---
+  std::size_t n_ = 0;                     // unknowns (matrix dimension)
+  std::vector<std::size_t> slot_;         // per node: matrix index, or n_ + k if fixed
+  std::vector<NodeId> unknown_nodes_;     // matrix index -> node
+  std::vector<double> fixed_potentials_;  // slot n_ + k -> potential
+  std::size_t lower_ = 0;                 // band half-widths of the ordering
+  std::size_t upper_ = 0;
+  std::vector<Entry> static_entries_;     // gmin + resistors
+  std::vector<double> rhs_static_;        // resistor injections from fixed nodes
+  // Capacitance from each unknown to fixed nodes, summed: its history
+  // term is g * C * v_prev whatever the fixed potentials are.
+  std::vector<double> node_cap_;
+  std::vector<CouplingCap> coupling_caps_;
+  std::vector<DriverSlot> drivers_;
 
-  std::vector<double> voltages_;            // per node, current values
+  // --- run state ---
   std::vector<DriverState> driver_states_;
-  std::vector<double> cap_currents_;        // per capacitor (trapezoidal state)
-  bool be_step_pending_ = true;             // BE step at discontinuities (TR mode)
-  DenseMatrix conductance_;
-  LuFactorization lu_;
+  std::vector<double> rhs_base_;   // rhs_static_ + rail injections of up drivers
+  std::vector<double> node_g_;     // companion conductance g_cap_scale * node_cap_
+  std::vector<double> x_;          // unknown voltages, current step
+  std::vector<double> x_prev_;
+  std::vector<double> node_currents_;      // trapezoidal history (grounded caps)
+  std::vector<double> coupling_currents_;  // trapezoidal history (coupling caps)
+  bool be_step_pending_ = true;            // BE step at discontinuities (TR mode)
+  BandLu band_lu_;
+  LuFactorization dense_lu_;
 };
 
 }  // namespace razorbus::spice

@@ -1,36 +1,15 @@
 #include "svc/queue.hpp"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 #include "svc/fsio.hpp"
 
 namespace razorbus::svc {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-// Claim-file names derive from the job name (filesystem-safe by the
-// ScenarioSpec name validation), so claim/job/done files line up 1:1.
-std::string claim_name(const std::string& job) { return job + ".claim"; }
-
-// Is the process that wrote a claim still alive? Signal 0 probes without
-// delivering: ESRCH means the pid is gone and the claim is stale. EPERM
-// (pid exists but owned by another user) counts as alive — stealing a
-// running job is worse than waiting. Per-host only, by construction.
-bool pid_alive(long long pid) {
-  if (pid <= 0) return false;
-  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
-}
-
-}  // namespace
 
 Json QueueJob::to_json() const {
   Json j = Json::object();
@@ -84,46 +63,28 @@ std::vector<QueueJob> JobQueue::jobs() const {
   return out;
 }
 
+std::string JobQueue::claim_path(const std::string& name) const {
+  // Claim-file names derive from the job name (filesystem-safe by the
+  // ScenarioSpec name validation), so claim/job/done files line up 1:1.
+  return (fs::path(claims_dir_) / (name + ".claim")).string();
+}
+
 std::optional<QueueJob> JobQueue::claim(const std::string& worker_id) {
   for (const QueueJob& job : jobs()) {
     if (is_done(job.name)) continue;
-    const std::string claim_path =
-        (fs::path(claims_dir_) / claim_name(job.name)).string();
-
-    // Up to two O_EXCL attempts: the first loses either to a live claim
-    // (skip the job) or to a stale one (remove it, try once more). The
-    // second attempt can still lose — another worker reclaimed first —
-    // and then this worker simply moves on; the filesystem's exclusivity
-    // guarantee is what makes double-claiming impossible.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const int fd = ::open(claim_path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-      if (fd >= 0) {
-        Json claim = Json::object();
-        claim.set("worker", worker_id);
-        claim.set("pid", static_cast<long long>(::getpid()));
-        claim.set("job", job.name);
-        const std::string text = claim.dump(2) + "\n";
-        // Best-effort body: an empty/torn claim body is treated as stale
-        // by other workers only once this pid exits, which is exactly the
-        // abandoned-claim semantics we want.
-        (void)!::write(fd, text.data(), text.size());
-        ::close(fd);
-        return job;
-      }
-      if (errno != EEXIST) break;  // unwritable claims dir: skip the job
-
-      // Existing claim: stale (dead pid / unreadable) or live?
-      bool stale = false;
-      try {
-        const Json claim = Json::parse_file(claim_path);
-        stale = !pid_alive(claim.at("pid").as_int());
-      } catch (const std::exception&) {
-        stale = true;  // torn claim from a crashed worker
-      }
-      if (!stale) break;
-      std::error_code ec;
-      fs::remove(claim_path, ec);  // then retry the O_EXCL gate once
+    std::optional<util::FileLease> lease;
+    try {
+      lease = util::FileLease::try_acquire(claim_path(job.name), worker_id);
+    } catch (const std::system_error&) {
+      continue;  // unwritable claims dir: skip the job
     }
+    if (!lease) continue;  // a live worker holds it
+    // Re-check under the claim: another worker may have completed the job
+    // (done record written, then claim released) since the check above.
+    if (is_done(job.name)) continue;  // the lease releases on scope exit
+    util::MutexLock lock(mutex_);
+    claims_.insert_or_assign(job.name, *std::move(lease));
+    return job;
   }
   return std::nullopt;
 }
@@ -135,8 +96,15 @@ void JobQueue::complete(const std::string& name, const Json& record) {
 }
 
 void JobQueue::release(const std::string& name) {
-  std::error_code ec;
-  fs::remove(fs::path(claims_dir_) / claim_name(name), ec);
+  std::optional<util::FileLease> held;
+  {
+    util::MutexLock lock(mutex_);
+    const auto it = claims_.find(name);
+    if (it == claims_.end()) return;
+    held = std::move(it->second);
+    claims_.erase(it);
+  }
+  // `held` releases (unlinks the claim file) here, outside the lock.
 }
 
 bool JobQueue::is_done(const std::string& name) const {
@@ -152,9 +120,10 @@ std::optional<Json> JobQueue::done_record(const std::string& name) const {
 }
 
 void JobQueue::reset(const std::string& name) {
+  release(name);
   std::error_code ec;
   fs::remove(fs::path(done_dir_) / (name + ".json"), ec);
-  fs::remove(fs::path(claims_dir_) / claim_name(name), ec);
+  fs::remove(claim_path(name), ec);
 }
 
 void JobQueue::remove(const std::string& name) {

@@ -10,26 +10,32 @@
 //
 // A job is PENDING when it has a record but no done file, RUNNING while a
 // live worker holds its claim, and DONE once the outcome record exists.
-// Claim creation uses O_CREAT|O_EXCL, which the filesystem guarantees to
-// succeed for exactly one contender — that single syscall is the whole
-// work-stealing protocol: any number of worker processes can point at one
-// queue directory and each job runs exactly once. A claim whose recorded
-// pid is dead (worker killed mid-job) is stale; the next claimant removes
-// it and re-claims through the same O_EXCL gate, which is what makes a
-// campaign resumable after `kill -9`.
+// A claim is a util::FileLease (util/lease.hpp): created with
+// O_CREAT|O_EXCL, which the filesystem guarantees to succeed for exactly
+// one contender, and held by a flock that the kernel drops when the worker
+// dies. That is the whole work-stealing protocol: any number of worker
+// processes can point at one queue directory and each job runs exactly
+// once. A claim nobody holds (worker killed mid-job, so its pid is dead;
+// or torn bytes) is stale; the next claimant takes it over through the
+// same O_EXCL gate, which is what makes a campaign resumable after
+// `kill -9`. A claimant re-checks the done record while holding the
+// claim, so a job that another worker finished between the first check
+// and the claim is released, never run twice.
 //
-// Liveness probing is per-host (kill(pid, 0)), so one queue directory
-// serves the workers of ONE host. Multi-host splits partition jobs by
-// content hash instead (`campaignd manifest`) — hosts share the result
-// cache, not the queue.
+// Locks are per host, so one queue directory serves the workers of ONE
+// host. Multi-host splits partition jobs by content hash instead
+// (`campaignd manifest`) — hosts share the result cache, not the queue.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "util/json.hpp"
+#include "util/lease.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace razorbus::svc {
 
@@ -47,6 +53,9 @@ struct QueueJob {
   static QueueJob from_json(const Json& json);
 };
 
+// Thread-safe: the claim lanes of one process share one handle. Claims
+// taken through a handle are held by it until complete(), release(),
+// reset() or the handle's destruction.
 class JobQueue {
  public:
   // Opens (or creates) the queue rooted at `dir`.
@@ -72,7 +81,8 @@ class JobQueue {
   // must at least carry "status": "ok" | "failed".
   void complete(const std::string& name, const Json& record);
 
-  // Drops a claim without recording an outcome (tests / error unwinding).
+  // Drops this handle's claim without recording an outcome (tests / error
+  // unwinding); a no-op for jobs it does not hold.
   void release(const std::string& name);
 
   bool is_done(const std::string& name) const;
@@ -94,10 +104,14 @@ class JobQueue {
   const std::string& dir() const { return dir_; }
 
  private:
+  std::string claim_path(const std::string& name) const;
+
   std::string dir_;
   std::string jobs_dir_;
   std::string claims_dir_;
   std::string done_dir_;
+  util::Mutex mutex_;
+  std::map<std::string, util::FileLease> claims_ GUARDED_BY(mutex_);
 };
 
 }  // namespace razorbus::svc

@@ -13,9 +13,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -294,8 +296,8 @@ TEST(JobQueue, DurableAcrossAKilledWorker) {
 }
 
 // Two workers hammering one queue never claim the same job twice — the
-// O_CREAT|O_EXCL gate is the whole mutual-exclusion protocol. Runs under
-// the TSan CI leg.
+// O_CREAT|O_EXCL claim lease is the whole mutual-exclusion protocol. Runs
+// under the TSan CI leg.
 TEST(JobQueue, ConcurrentWorkersNeverDoubleClaim) {
   const std::string dir = scratch("queue_concurrent");
   {
@@ -326,6 +328,42 @@ TEST(JobQueue, ConcurrentWorkersNeverDoubleClaim) {
   EXPECT_EQ(all.size(), 8u);
   svc::JobQueue queue(dir);
   EXPECT_TRUE(queue.all_done());
+}
+
+// Regression for the duplicate-claim race: a lane checked is_done(), then
+// another lane completed the job (done record written, claim released),
+// then the first lane's claim succeeded and the job ran a second time.
+// Many tiny jobs over many lanes, runs counted on the executing side (not
+// from any summary counter): every job runs exactly once. TSan leg.
+TEST(JobQueue, ManyLanesRunEachJobExactlyOnce) {
+  constexpr int kJobs = 48;
+  constexpr int kLanes = 8;
+  Json ok = Json::object();
+  ok.set("status", "ok");
+  // A few rounds: the race window is narrow, one round may miss it.
+  for (int round = 0; round < 4; ++round) {
+    const std::string dir = scratch("queue_exactly_once_" + std::to_string(round));
+    {
+      svc::JobQueue setup(dir);
+      for (int i = 0; i < kJobs; ++i)
+        setup.enqueue(queue_job("j" + std::to_string(100 + i)));
+    }
+    std::vector<std::atomic<int>> runs(kJobs);
+    const auto lane = [&](int id) {
+      svc::JobQueue queue(dir);  // own handle, like a separate process
+      while (!queue.all_done()) {
+        const auto job = queue.claim("w" + std::to_string(id));
+        if (!job) continue;
+        ++runs[std::stoi(job->name.substr(1)) - 100];  // the "child side"
+        queue.complete(job->name, ok);
+      }
+    };
+    std::vector<std::thread> lanes;
+    for (int i = 0; i < kLanes; ++i) lanes.emplace_back(lane, i);
+    for (auto& t : lanes) t.join();
+    for (int i = 0; i < kJobs; ++i)
+      EXPECT_EQ(runs[i].load(), 1) << "round " << round << ", job " << i;
+  }
 }
 
 // ----------------------------------------------------------- result cache
@@ -487,6 +525,76 @@ TEST_F(CampaigndEndToEnd, SystemAndDriftCampaignsColdThenWarm) {
     }
     EXPECT_EQ(compared, static_cast<std::size_t>(jobs)) << campaign;
   }
+}
+
+// End-to-end exactly-once: many tiny jobs on many lanes, each child run
+// logged by a runner wrapper (the child side), never by campaignd's own
+// counters. Before the claim re-check, a job finished in the window
+// between a lane's done check and its claim ran twice.
+TEST_F(CampaigndEndToEnd, ManyLanesSpawnOneChildPerJob) {
+  const std::string out = "campaignd_test_out/exactly_once";
+  fs::remove_all(out);
+  fs::create_directories(out);
+  const std::string runs_log = fs::absolute(out + "/runs.log").string();
+  const std::string wrapper = out + "/runner.sh";
+  {
+    std::ofstream script(wrapper);
+    script << "#!/bin/sh\n"
+           << "echo \"$2\" >> " << svc::shell_quote(runs_log) << "\n"
+           << "exec " << svc::shell_quote(fs::absolute("campaign").string())
+           << " \"$@\"\n";
+  }
+  fs::permissions(wrapper, fs::perms::owner_all, fs::perm_options::add);
+  std::ofstream spec(out + "/many.json");
+  spec << R"({"name": "many", "defaults": {"cycles": 500, "threads": 1},
+    "scenarios": [)";
+  for (int i = 0; i < 6; ++i) {
+    spec << (i ? "," : "") << R"({"name": "s)" << i
+         << R"(", "experiment": "closed_loop",
+           "trace": {"source": "synthetic", "style": "uniform", "seed": )"
+         << i << R"(}, "controllers": ["threshold", "fixed_vs"]})";
+  }
+  spec << "]}";
+  spec.close();
+
+  ASSERT_EQ(run_cmd("./campaignd run " + out + "/many.json --out=" + out +
+                    "/run --workers=6 --runner=" + wrapper + " > " + out + ".log 2>&1"),
+            0)
+      << slurp(out + ".log");
+  const Json status = status_of(out + "/run");
+  EXPECT_EQ(status.at("jobs_total").as_int(), 12);
+  EXPECT_EQ(status.at("executed").as_int(), 12);
+
+  std::map<std::string, int> runs;
+  std::ifstream log(runs_log);
+  for (std::string line; std::getline(log, line);) ++runs[line];
+  EXPECT_EQ(runs.size(), 12u);
+  for (const auto& [spec_path, count] : runs) EXPECT_EQ(count, 1) << spec_path;
+}
+
+// Two runs of one job publishing the same report at once (a duplicate
+// run, or a resumed worker racing a live one) leave one complete report:
+// the runner writes it atomically, never interleaved.
+TEST_F(CampaigndEndToEnd, ConcurrentReportWritersLeaveOneCompleteReport) {
+  const std::string out = "campaignd_test_out/report_race";
+  fs::remove_all(out);
+  fs::create_directories(out);
+  std::ofstream(out + "/job.spec.json")
+      << R"({"name": "uni", "experiment": "closed_loop",
+        "trace": {"source": "synthetic", "style": "uniform", "seed": 3},
+        "cycles": 2000, "threads": 1})";
+  const std::string report = out + "/BENCH_uni.json";
+  for (int round = 0; round < 4; ++round) {
+    const std::string one = "./campaign run-one " + out + "/job.spec.json --json=" +
+                            report + " > /dev/null 2>&1";
+    ASSERT_EQ(run_cmd("(" + one + " & " + one + " & wait)"), 0);
+    const std::string bytes = slurp(report);
+    EXPECT_NO_THROW(Json::parse(bytes)) << "round " << round << ":\n" << bytes;
+  }
+  std::size_t debris = 0;
+  for (const auto& entry : fs::directory_iterator(out))
+    if (entry.path().filename().string().find(".tmp.") != std::string::npos) ++debris;
+  EXPECT_EQ(debris, 0u);
 }
 
 // `campaignd manifest` splits jobs across shards by content hash:

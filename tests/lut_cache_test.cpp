@@ -4,11 +4,19 @@
 // characterizations free (docs/characterization.md).
 #include <gtest/gtest.h>
 
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "lut/cache.hpp"
 #include "lut/pattern.hpp"
@@ -169,6 +177,170 @@ TEST(LutCache, PointStoreEliminatesRedundantSims) {
   build_or_load(sized_paper_bus(), driver, sub, {}, &sub_stats);
   EXPECT_GT(sub_stats.store_hits, 0u);
   EXPECT_LT(sub_stats.transient_sims, cold.transient_sims);
+}
+
+// ------------------------------------------------- single-flight builds
+
+// Transient runs of one cold build of `cfg` in the private cache directory
+// `dir` (each caller needs its own: the in-process memo remembers it).
+std::uint64_t one_build_sims(const LutConfig& cfg, const std::string& dir) {
+  CacheDirGuard guard(dir);
+  const tech::DriverModel driver(sized_paper_bus().node);
+  BuildStats stats;
+  build_or_load(sized_paper_bus(), driver, cfg, {}, &stats);
+  EXPECT_GT(stats.transient_sims, 0u);
+  return stats.transient_sims;
+}
+
+// Concurrent cold callers of one table build it once: one thread holds the
+// build lease and characterises, the others wait and load what it
+// published — so the summed transient runs equal a single build's, and
+// the waiters do no build work at all (not even point-store lookups).
+TEST(LutSingleFlight, ConcurrentThreadsBuildOnce) {
+  const LutConfig cfg = tiny_config(1.14);
+  const std::uint64_t expected = one_build_sims(cfg, "./.razorbus_cache_sf_ref_test");
+
+  CacheDirGuard guard("./.razorbus_cache_sf_threads_test");
+  const tech::DriverModel driver(sized_paper_bus().node);
+  constexpr int kCallers = 6;
+  std::vector<BuildStats> stats(kCallers);
+  std::vector<DelayEnergyTable> tables(kCallers);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kCallers; ++i)
+    threads.emplace_back([&, i] {
+      tables[i] = build_or_load(sized_paper_bus(), driver, cfg, {}, &stats[i]);
+    });
+  for (auto& t : threads) t.join();
+
+  std::uint64_t sims = 0;
+  std::uint64_t store_hits = 0;
+  int builders = 0;
+  for (const BuildStats& s : stats) {
+    sims += s.transient_sims;
+    store_hits += s.store_hits;
+    builders += s.points > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(sims, expected);
+  EXPECT_EQ(store_hits, 0u);
+  EXPECT_EQ(builders, 1);
+  const int cls = PatternClass::encode(VictimActivity::rise, NeighborActivity::fall,
+                                       NeighborActivity::fall);
+  for (const DelayEnergyTable& t : tables)
+    EXPECT_EQ(t.delay_at(cls, 0, 0, 0), tables[0].delay_at(cls, 0, 0, 0));
+  EXPECT_FALSE(std::filesystem::exists(table_path(cache_directory(), cfg) + ".lease"));
+}
+
+// The child half of ConcurrentProcessesBuildOnce: builds (or waits and
+// loads) in the shared RAZORBUS_CACHE_DIR and writes its transient-run
+// count where LUT_CACHE_TEST_CHILD_OUT says. Skipped in a normal run.
+TEST(LutSingleFlightChild, BuildAndReport) {
+  const char* out = std::getenv("LUT_CACHE_TEST_CHILD_OUT");
+  if (!out) GTEST_SKIP() << "child half of LutSingleFlight.ConcurrentProcessesBuildOnce";
+  const tech::DriverModel driver(sized_paper_bus().node);
+  BuildStats stats;
+  build_or_load(sized_paper_bus(), driver, tiny_config(1.14), {}, &stats);
+  std::ofstream(out) << stats.transient_sims << "\n";
+}
+
+// The same contract across processes: N copies of this test binary build
+// one table cold in one cache directory at once.
+TEST(LutSingleFlight, ConcurrentProcessesBuildOnce) {
+  const LutConfig cfg = tiny_config(1.14);
+  const std::uint64_t expected =
+      one_build_sims(cfg, "./.razorbus_cache_sf_procs_ref_test");
+
+  const std::string dir = "./.razorbus_cache_sf_procs_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  constexpr int kChildren = 4;
+  std::vector<pid_t> pids;
+  for (int i = 0; i < kChildren; ++i) {
+    const std::string out_env =
+        "LUT_CACHE_TEST_CHILD_OUT=" + dir + "/child" + std::to_string(i) + ".txt";
+    const std::string cache_env = "RAZORBUS_CACHE_DIR=" + dir;
+    std::string filter = "--gtest_filter=LutSingleFlightChild.BuildAndReport";
+    std::string exe = "/proc/self/exe";
+    char* argv[] = {exe.data(), filter.data(), nullptr};
+    std::vector<std::string> env_strings{out_env, cache_env};
+    std::vector<char*> envp;
+    for (auto& e : env_strings) envp.push_back(e.data());
+    envp.push_back(nullptr);
+    pid_t pid = 0;
+    ASSERT_EQ(
+        posix_spawn(&pid, "/proc/self/exe", nullptr, nullptr, argv, envp.data()), 0);
+    pids.push_back(pid);
+  }
+  std::uint64_t sims = 0;
+  for (int i = 0; i < kChildren; ++i) {
+    int status = 0;
+    ASSERT_EQ(waitpid(pids[static_cast<std::size_t>(i)], &status, 0),
+              pids[static_cast<std::size_t>(i)]);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "child " << i;
+    std::ifstream in(dir + "/child" + std::to_string(i) + ".txt");
+    std::uint64_t child_sims = 0;
+    ASSERT_TRUE(static_cast<bool>(in >> child_sims)) << "child " << i;
+    sims += child_sims;
+  }
+  EXPECT_EQ(sims, expected);
+  std::filesystem::remove_all(dir);
+}
+
+// A leader that throws mid-build releases the lease (RAII), so a caller
+// waiting on it wakes up, takes the lease over and builds the table.
+TEST(LutSingleFlight, ThrowingLeaderReleasesWaiters) {
+  CacheDirGuard guard("./.razorbus_cache_sf_throw_test");
+  const tech::DriverModel driver(sized_paper_bus().node);
+  const LutConfig cfg = tiny_config(1.16);
+  std::atomic<bool> leading{false};
+  std::atomic<bool> thrown{false};
+  std::thread leader([&] {
+    try {
+      build_or_load(sized_paper_bus(), driver, cfg, [&](int, int) {
+        if (leading.exchange(true)) return;
+        // Give the waiter time to block on the lease, then fail.
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        throw std::runtime_error("leader failed");
+      });
+    } catch (const std::runtime_error&) {
+      thrown = true;
+    }
+  });
+  while (!leading) std::this_thread::yield();
+  BuildStats stats;
+  const DelayEnergyTable table =
+      build_or_load(sized_paper_bus(), driver, cfg, {}, &stats);
+  leader.join();
+  EXPECT_TRUE(thrown.load());
+  EXPECT_FALSE(table.empty());
+  // The failed leader's simulated points were kept by the point store, so
+  // the new leader pays only for what is missing.
+  EXPECT_GT(stats.transient_sims + stats.store_hits, 0u);
+  EXPECT_TRUE(std::filesystem::exists(table_path(cache_directory(), cfg)));
+  EXPECT_FALSE(std::filesystem::exists(table_path(cache_directory(), cfg) + ".lease"));
+}
+
+// A lease left by a crashed builder — dead pid, torn or foreign bytes — is
+// stale: the next caller takes it over and builds, never hangs or crashes.
+TEST(LutSingleFlight, StaleLeaseFilesAreTakenOver) {
+  const tech::DriverModel driver(sized_paper_bus().node);
+  const std::string debris[] = {
+      "{\"owner\": \"lut build\", \"pid\": 999999999}\n",
+      "{\"owner\": \"lut bu",
+      std::string("\xde\xad\x00\x01", 4),
+  };
+  int round = 0;
+  for (const std::string& bytes : debris) {
+    CacheDirGuard guard("./.razorbus_cache_sf_stale_test" + std::to_string(round++));
+    const LutConfig cfg = tiny_config(1.18);
+    const std::string lease = table_path(cache_directory(), cfg) + ".lease";
+    std::ofstream(lease, std::ios::binary) << bytes;
+    BuildStats stats;
+    const DelayEnergyTable table =
+        build_or_load(sized_paper_bus(), driver, cfg, {}, &stats);
+    EXPECT_FALSE(table.empty());
+    EXPECT_GT(stats.transient_sims, 0u);
+    EXPECT_FALSE(std::filesystem::exists(lease));
+  }
 }
 
 TEST(PointStoreTest, PersistsAndReloads) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "spice/netlist.hpp"
 #include "spice/solver.hpp"
@@ -100,6 +102,161 @@ TEST(Lu, LargerRandomSystemRoundTrip) {
     for (std::size_t c = 0; c < n; ++c) acc += m.at(r, c) * x[c];
     EXPECT_NEAR(acc, b[r], 1e-9);
   }
+}
+
+// ----------------------------------------------------------- band solver
+
+// Deterministic LCG in [0, 1) (test data only).
+struct TestRng {
+  unsigned state;
+  double operator()() {
+    state = state * 1103515245u + 12345u;
+    return static_cast<double>((state >> 16) & 0x7fff) / 32768.0;
+  }
+};
+
+// The same band matrix in dense and band storage.
+std::pair<DenseMatrix, BandMatrix> random_band(std::size_t n, std::size_t lower,
+                                               std::size_t upper, TestRng& rnd,
+                                               bool dominant) {
+  DenseMatrix dense(n);
+  BandMatrix band(n, lower, upper);
+  for (std::size_t r = 0; r < n; ++r) {
+    double row_sum = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (c == r || !band.in_band(r, c)) continue;
+      const double v = rnd() - 0.5;
+      dense.at(r, c) = band.at(r, c) = v;
+      row_sum += std::abs(v);
+    }
+    dense.at(r, r) = band.at(r, r) = dominant ? row_sum + 1.0 : rnd() - 0.5;
+  }
+  return {dense, band};
+}
+
+TEST(BandLu, MatchesDenseOnRandomDiagonallyDominantBands) {
+  TestRng rnd{777};
+  const std::size_t shapes[][3] = {{1, 0, 0}, {2, 1, 1}, {12, 1, 1}, {48, 3, 3},
+                                   {48, 2, 5}, {48, 5, 2}, {30, 29, 29}, {64, 7, 7}};
+  for (const auto& shape : shapes) {
+    const auto [dense, band] = random_band(shape[0], shape[1], shape[2], rnd, true);
+    std::vector<double> b(shape[0]);
+    for (double& v : b) v = rnd() * 10.0 - 5.0;
+    const auto x_dense = LuFactorization(dense).solve(b);
+    const auto x_band = BandLu(band).solve(b);
+    ASSERT_EQ(x_band.size(), x_dense.size());
+    for (std::size_t i = 0; i < b.size(); ++i)
+      EXPECT_NEAR(x_band[i], x_dense[i], 1e-12 * (1.0 + std::abs(x_dense[i])))
+          << "n=" << shape[0] << " lower=" << shape[1] << " upper=" << shape[2];
+  }
+}
+
+// Lu.PivotsRowsWhenDiagonalIsZero's matrix in band storage: the band path
+// must pivot inside the band, not divide by the zero diagonal.
+TEST(BandLu, PivotsWithinTheBandWhenDiagonalIsZero) {
+  BandMatrix m(2, 1, 1);
+  m.at(0, 1) = 1.0;
+  m.at(1, 0) = 1.0;
+  const BandLu lu(m);
+  const auto x = lu.solve({2.0, 3.0});
+  EXPECT_NEAR(x[0], 3.0, 1e-12);
+  EXPECT_NEAR(x[1], 2.0, 1e-12);
+}
+
+// Random bands with arbitrary (often tiny or zero) diagonals force row
+// swaps throughout; every solve must satisfy A x = b and agree with the
+// dense LU.
+TEST(BandLu, PivotedSolvesMatchDense) {
+  TestRng rnd{4242};
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 10 + static_cast<std::size_t>(trial);
+    const std::size_t lower = 1 + static_cast<std::size_t>(trial % 3);
+    const std::size_t upper = 1 + static_cast<std::size_t>(trial % 4);
+    auto [dense, band] = random_band(n, lower, upper, rnd, false);
+    if (trial % 2 == 0)
+      for (std::size_t r = 0; r < n; r += 2) dense.at(r, r) = band.at(r, r) = 0.0;
+    std::vector<double> b(n);
+    for (double& v : b) v = rnd() - 0.5;
+    std::vector<double> x_dense;
+    try {
+      x_dense = LuFactorization(dense).solve(b);
+    } catch (const std::runtime_error&) {
+      EXPECT_THROW(BandLu{band}, std::runtime_error);  // both refuse, loudly
+      continue;
+    }
+    const auto x = BandLu(band).solve(b);
+    for (std::size_t r = 0; r < n; ++r) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < n; ++c) acc += dense.at(r, c) * x[c];
+      EXPECT_NEAR(acc, b[r], 1e-9) << "trial " << trial;
+      EXPECT_NEAR(x[r], x_dense[r], 1e-8 * (1.0 + std::abs(x_dense[r])))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(BandLu, ThrowsOnSingularInsteadOfMisSolving) {
+  BandMatrix m(3, 1, 1);
+  m.at(0, 0) = 1.0;
+  m.at(0, 1) = 2.0;
+  m.at(1, 0) = 2.0;
+  m.at(1, 1) = 4.0;  // rows 0 and 1 dependent
+  m.at(2, 2) = 1.0;
+  EXPECT_THROW(BandLu{m}, std::runtime_error);
+}
+
+TEST(BandLu, SolveDimensionMismatchThrows) {
+  BandMatrix m(2, 0, 0);
+  m.at(0, 0) = m.at(1, 1) = 1.0;
+  const BandLu lu(m);
+  std::vector<double> wrong{1.0};
+  EXPECT_THROW(lu.solve_in_place(wrong), std::invalid_argument);
+}
+
+// The characterization cluster's sparsity: three wires of n_seg repeater
+// segments, 4 RC nodes each (rc_builder.cpp), coupled node-for-node
+// victim-left and victim-right. Numbered wire by wire (as the netlist
+// builder does) the bandwidth is 32; reordered it is 3.
+TEST(Ordering, ClusterBandwidthDropsFrom32To3) {
+  constexpr std::size_t kSegments = 4;
+  constexpr std::size_t kNodes = 4;
+  const auto id = [](std::size_t wire, std::size_t seg, std::size_t node) {
+    return wire * kSegments * kNodes + seg * kNodes + node;
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t w = 0; w < 3; ++w)
+    for (std::size_t s = 0; s < kSegments; ++s)
+      for (std::size_t i = 0; i + 1 < kNodes; ++i)
+        edges.emplace_back(id(w, s, i), id(w, s, i + 1));
+  for (std::size_t s = 0; s < kSegments; ++s)
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      edges.emplace_back(id(0, s, i), id(1, s, i));
+      edges.emplace_back(id(0, s, i), id(2, s, i));
+    }
+  const std::size_t n = 3 * kSegments * kNodes;
+  std::vector<std::size_t> natural(n);
+  for (std::size_t i = 0; i < n; ++i) natural[i] = i;
+  EXPECT_EQ(bandwidth(natural, edges), 32u);
+
+  const auto order = reverse_cuthill_mckee(n, edges);
+  ASSERT_EQ(order.size(), n);
+  std::vector<bool> seen(n, false);
+  for (const std::size_t v : order) {
+    ASSERT_LT(v, n);
+    EXPECT_FALSE(seen[v]);
+    seen[v] = true;
+  }
+  EXPECT_EQ(bandwidth(order, edges), 3u);
+  EXPECT_EQ(reverse_cuthill_mckee(n, edges), order);  // deterministic
+}
+
+TEST(Ordering, IsolatedVerticesAndSelfLoops) {
+  const auto order = reverse_cuthill_mckee(4, {{1, 1}, {2, 3}, {3, 2}});
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order[0], 0u);
+  EXPECT_EQ(order[1], 1u);
+  EXPECT_LE(bandwidth(order, {{2, 3}}), 1u);
+  EXPECT_THROW(reverse_cuthill_mckee(2, {{0, 2}}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- netlist
@@ -535,6 +692,81 @@ TEST(Transient, CrossingCountsTrackToggles) {
   EXPECT_EQ(result.fall_count(out), 1);
   ASSERT_TRUE(result.last_fall_crossing(out).has_value());
   EXPECT_GT(*result.last_fall_crossing(out), *result.last_rise_crossing(out));
+}
+
+// A resistor to a fixed non-zero node sources current in every timestep,
+// not only in the DC solve: a divider between two rails holds its DC value.
+TEST(Transient, ResistorToFixedNodeHoldsDcThroughTheRun) {
+  Circuit c;
+  const NodeId hi = c.add_fixed_node("hi", 1.0);
+  const NodeId lo = c.add_fixed_node("lo", 0.0);
+  const NodeId mid = c.add_node("mid");
+  c.add_resistor(hi, mid, 1000.0);
+  c.add_resistor(mid, lo, 1000.0);
+  c.add_capacitor(mid, lo, 10e-15);
+  TransientConfig cfg;
+  cfg.t_stop = 200e-12;
+  cfg.dt = 1e-12;
+  TransientSimulator sim(c, cfg);
+  const TransientResult result = sim.run();
+  EXPECT_NEAR(result.final_voltage(mid), 0.5, 1e-6);
+  EXPECT_EQ(result.rise_count(mid), 0);
+  EXPECT_EQ(result.fall_count(mid), 0);
+}
+
+// Solver parity on a coupled two-stage circuit in both integrators: the
+// banded path over its reordered unknowns matches the dense golden.
+TEST(Transient, BandedMatchesDenseReference) {
+  for (const Integrator integrator :
+       {Integrator::backward_euler, Integrator::trapezoidal}) {
+    auto run = [&](SolverKind solver) {
+      Circuit c;
+      const NodeId rail = c.add_fixed_node("vdd", 1.2);
+      const NodeId gnd = c.add_fixed_node("gnd", 0.0);
+      std::vector<NodeId> a;
+      std::vector<NodeId> b;
+      for (int i = 0; i < 6; ++i) a.push_back(c.add_node("a" + std::to_string(i)));
+      for (int i = 0; i < 6; ++i) b.push_back(c.add_node("b" + std::to_string(i)));
+      for (int i = 0; i < 6; ++i) {
+        c.add_capacitor(a[i], gnd, 5e-15);
+        c.add_capacitor(b[i], gnd, 5e-15);
+        c.add_capacitor(a[i], b[i], 8e-15);
+        if (i + 1 < 6) {
+          c.add_resistor(a[i], a[i + 1], 150.0);
+          c.add_resistor(b[i], b[i + 1], 150.0);
+        }
+      }
+      Driver da;
+      da.out = a[0];
+      da.vdd_rail = rail;
+      da.r_up = da.r_dn = 400.0;
+      da.schedule = {{50e-12, true}};
+      c.add_driver(da);
+      Driver db;  // inverter on a's far end
+      db.out = b[0];
+      db.vdd_rail = rail;
+      db.r_up = db.r_dn = 400.0;
+      db.initial_up = true;
+      db.in = a[5];
+      c.add_driver(db);
+      TransientConfig cfg;
+      cfg.t_stop = 1e-9;
+      cfg.dt = 1e-12;
+      cfg.integrator = integrator;
+      cfg.solver = solver;
+      TransientSimulator sim(c, cfg);
+      const TransientResult r = sim.run();
+      return std::vector<double>{*r.last_rise_crossing(a[5]), *r.last_fall_crossing(b[5]),
+                                 r.rail_energy(), r.final_voltage(b[3])};
+    };
+    const auto banded = run(SolverKind::banded);
+    const auto dense = run(SolverKind::dense_reference);
+    // Crossing times and energy to 1e-12 relative; the settled voltage
+    // (tens of microvolts) to 1e-12 V.
+    for (std::size_t i = 0; i < 3; ++i)
+      EXPECT_NEAR(banded[i], dense[i], 1e-12 * std::abs(dense[i])) << i;
+    EXPECT_NEAR(banded[3], dense[3], 1e-12);
+  }
 }
 
 }  // namespace

@@ -22,124 +22,65 @@ lut::LutConfig lut_config_for_tolerance(double tol, lut::LutConfig base) {
 
 namespace {
 
-// Length of the next batched span for a closed-loop driver positioned at
-// `cycle`: up to the end of the trace, the controller window, or the cycle
-// at which a pending regulator change lands — whichever comes first. The
-// regulator output is constant across such a span, so the whole span can
-// go through BusSimulator::run in one call.
-std::uint64_t next_segment(std::uint64_t remaining_in_trace,
-                           std::uint64_t remaining_in_window,
+// Resident traces as sources: the BlockReader serves each view straight
+// from the trace's vector, so a Trace-taking driver runs its streamed body
+// without copying a word.
+std::vector<std::unique_ptr<trace::TraceSource>> view_sources(
+    const std::vector<trace::Trace>& traces) {
+  std::vector<std::unique_ptr<trace::TraceSource>> sources;
+  sources.reserve(traces.size());
+  for (const auto& t : traces) sources.push_back(trace::make_trace_view_source(t));
+  return sources;
+}
+
+struct FeedResult {
+  std::uint64_t cycles = 0;
+  std::uint64_t errors = 0;
+};
+
+// Drive up to `cycles` words from `reader` through `sim` (and the same
+// spans through `baseline`, when given); short only when the stream ends.
+// The closed-loop drivers ask for LOGICAL segments (up to a controller
+// window or a regulator change landing), served across as many reader
+// spans as needed, so span boundaries never move a control decision —
+// that, plus the engine's span-split invariance, makes reports
+// independent of the block size and of whether the words were resident.
+FeedResult feed(trace::BlockReader& reader, bus::BusSimulator& sim,
+                bus::BusSimulator* baseline, std::uint64_t cycles) {
+  FeedResult out;
+  while (out.cycles < cycles) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(reader.available(), cycles - out.cycles));
+    if (n == 0) break;
+    const BusWord* words = reader.take(n);
+    const bus::RunningTotals d = sim.run(words, n);
+    if (baseline != nullptr) baseline->run(words, n);
+    out.cycles += d.cycles;
+    out.errors += d.errors;
+  }
+  return out;
+}
+
+void feed_all(trace::BlockReader& reader, bus::MultiPointEngine& engine) {
+  for (std::size_t n; (n = reader.available()) > 0;) engine.run(reader.take(n), n);
+}
+
+// Length of the next logical segment for a closed-loop driver at `cycle`:
+// up to the end of the controller window or the cycle at which a pending
+// regulator change lands, whichever comes first. The regulator output is
+// constant across such a segment.
+std::uint64_t plan_segment(std::uint64_t remaining_in_window,
                            std::uint64_t next_change_cycle, std::uint64_t cycle) {
-  std::uint64_t seg = std::min(remaining_in_trace, remaining_in_window);
+  std::uint64_t seg = remaining_in_window;
   if (next_change_cycle != dvs::VoltageRegulator::kNoPendingChange &&
       next_change_cycle > cycle)
     seg = std::min(seg, next_change_cycle - cycle);
   return seg;
 }
 
-// A trace wider than the bus would silently drop its high lanes; narrower
-// traces are fine (the surplus wires hold).
-void check_trace_width(const DvsBusSystem& system, const trace::Trace& trace) {
-  if (trace.n_bits > system.design().n_bits)
-    throw std::invalid_argument(
-        "experiment: trace '" + trace.name + "' is " + std::to_string(trace.n_bits) +
-        " bits wide but the bus has " + std::to_string(system.design().n_bits) +
-        " wires");
-}
-
-void check_source_width(const DvsBusSystem& system, const trace::TraceSource& source) {
-  if (source.n_bits() > system.design().n_bits)
-    throw std::invalid_argument(
-        "experiment: trace '" + source.name() + "' is " +
-        std::to_string(source.n_bits()) + " bits wide but the bus has " +
-        std::to_string(system.design().n_bits) + " wires");
-}
-
-// Serves one stream through a fixed block buffer. The closed-loop drivers
-// ask it for LOGICAL segments (up to a controller-window or regulator
-// boundary); the feeder satisfies a segment from as many buffered chunks
-// as needed, so block boundaries never change where control decisions
-// fall — that, plus the engine's span-split invariance, is what makes the
-// streamed reports bit-identical to the materialized ones.
-class StreamFeeder {
- public:
-  StreamFeeder(const trace::TraceSource& prototype, std::size_t block_cycles)
-      : source_(prototype.clone()), buffer_(block_cycles) {
-    if (block_cycles == 0)
-      throw std::invalid_argument("stream: block_cycles must be > 0");
-  }
-
-  // True when at least one word is available (refilling if necessary).
-  bool has_more() {
-    if (pos_ == filled_ && !eof_) refill();
-    return pos_ < filled_;
-  }
-
-  struct FeedResult {
-    std::uint64_t cycles = 0;
-    std::uint64_t errors = 0;
-  };
-
-  // Drive up to `cycles` words through `sim` (and mirror every chunk into
-  // `baseline` when given); short only when the stream ends.
-  FeedResult feed(bus::BusSimulator& sim, bus::BusSimulator* baseline,
-                  std::uint64_t cycles) {
-    FeedResult out;
-    while (out.cycles < cycles && has_more()) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(filled_ - pos_, cycles - out.cycles));
-      const bus::RunningTotals d = sim.run(buffer_.data() + pos_, n);
-      if (baseline != nullptr) baseline->run(buffer_.data() + pos_, n);
-      pos_ += n;
-      out.cycles += d.cycles;
-      out.errors += d.errors;
-    }
-    return out;
-  }
-
-  void account(StreamStats* stats, std::size_t block_cycles) const {
-    if (stats == nullptr) return;
-    stats->block_cycles = block_cycles;
-    stats->blocks += blocks_;
-    stats->cycles += streamed_;
-    stats->peak_buffer_words = std::max(stats->peak_buffer_words, buffer_.size());
-  }
-
- private:
-  void refill() {
-    filled_ = source_->next_block(buffer_.data(), buffer_.size());
-    pos_ = 0;
-    if (filled_ == 0) {
-      eof_ = true;
-    } else {
-      ++blocks_;
-      streamed_ += filled_;
-    }
-  }
-
-  std::unique_ptr<trace::TraceSource> source_;
-  std::vector<BusWord> buffer_;
-  std::size_t pos_ = 0;
-  std::size_t filled_ = 0;
-  bool eof_ = false;
-  std::uint64_t blocks_ = 0;
-  std::uint64_t streamed_ = 0;
-};
-
-// Nominal-supply conventional-bus simulator matching
-// BusSimulator::run_reference (the default recovery model, supply pinned
-// at nominal): fed in lockstep with the DVS simulator, its totals equal a
-// run_reference pass over the materialized words.
-bus::BusSimulator make_baseline_sim(const DvsBusSystem& system,
-                                    const tech::PvtCorner& environment) {
-  bus::BusSimulator sim(system.design(), system.table(), environment);
-  sim.set_supply(system.design().node.vdd_nominal);
-  return sim;
-}
-
-// Monte-Carlo operating-point draw shared by both pvt_sample_gains forms:
-// the population is part of the streamed/materialized parity contract, so
-// there is exactly one copy of the distribution.
+// Monte-Carlo operating-point draw of pvt_sample_gains: the population is
+// part of the determinism contract, so there is exactly one copy of the
+// distribution.
 tech::PvtCorner draw_pvt_corner(Rng& rng) {
   tech::PvtCorner corner;
   // Process corners are discrete (die-to-die); skew toward typical.
@@ -158,7 +99,7 @@ tech::PvtCorner draw_pvt_corner(Rng& rng) {
 
 // ------------------------------------------------- batched (simd) helpers
 //
-// EngineMode::simd routes the point loops below through
+// EngineMode::simd routes the sweep's point loop through
 // bus::MultiPointEngine (DESIGN.md §13): one pass over the trace per CHUNK
 // of operating points instead of one pass per point. Per-point results are
 // bit-identical to the scalar loop at any chunking, so the chunk count is
@@ -192,40 +133,14 @@ std::vector<SweepPoint> collect_sweep_points(const bus::MultiPointEngine& engine
   return out;
 }
 
-std::vector<SweepPoint> sweep_points_batched(const DvsBusSystem& system,
-                                             const tech::PvtCorner& environment,
-                                             const std::vector<double>& supplies,
-                                             double timing_jitter_sigma,
-                                             const std::vector<trace::Trace>& traces) {
-  const std::size_t n_chunks = sweep_chunks(supplies.size());
-  const std::size_t per = (supplies.size() + n_chunks - 1) / n_chunks;
-  auto chunks = util::parallel_map(util::global_pool(), n_chunks, [&](std::size_t c) {
-    const std::size_t lo = std::min(supplies.size(), c * per);
-    const std::size_t hi = std::min(supplies.size(), lo + per);
-    if (lo >= hi) return std::vector<SweepPoint>{};
-    const auto points = supply_points(supplies, lo, hi, environment);
-    bus::MultiPointConfig config;
-    config.timing_jitter_sigma = timing_jitter_sigma;
-    bus::MultiPointEngine engine(system.design(), system.table(), points, config);
-    for (const auto& t : traces) engine.run(t.words);
-    return collect_sweep_points(engine, points);
-  });
-  std::vector<SweepPoint> points;
-  points.reserve(supplies.size());
-  for (auto& chunk : chunks) points.insert(points.end(), chunk.begin(), chunk.end());
-  return points;
-}
-
-// Streamed twin: each chunk drains its own clone of the stream through the
-// batched engine — N supplies per drain instead of one, so a 20-supply
-// sweep pulls the stream ~threads times instead of 20.
-std::vector<SweepPoint> sweep_points_batched_streamed(
+// Each chunk drains its own reader through the batched engine — N supplies
+// per drain instead of one, so a 20-supply sweep pulls the stream ~threads
+// times instead of 20.
+std::vector<SweepPoint> sweep_points_batched(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<double>& supplies, double timing_jitter_sigma,
     const trace::TraceSource& source, const StreamConfig& stream,
     std::vector<StreamStats>& shard_stats) {
-  if (stream.block_cycles == 0)
-    throw std::invalid_argument("stream: block_cycles must be > 0");
   const std::size_t n_chunks = sweep_chunks(supplies.size());
   const std::size_t per = (supplies.size() + n_chunks - 1) / n_chunks;
   shard_stats.assign(n_chunks, StreamStats{});
@@ -237,19 +152,9 @@ std::vector<SweepPoint> sweep_points_batched_streamed(
     bus::MultiPointConfig config;
     config.timing_jitter_sigma = timing_jitter_sigma;
     bus::MultiPointEngine engine(system.design(), system.table(), points, config);
-
-    const auto clone = source.clone();
-    std::vector<BusWord> buffer(stream.block_cycles);
-    StreamStats& stats = shard_stats[c];
-    stats.block_cycles = stream.block_cycles;
-    stats.peak_buffer_words = buffer.size();
-    for (;;) {
-      const std::size_t n = clone->next_block(buffer.data(), buffer.size());
-      if (n == 0) break;
-      engine.run(buffer.data(), n);
-      ++stats.blocks;
-      stats.cycles += n;
-    }
+    trace::BlockReader reader(source, stream.block_cycles);
+    feed_all(reader, engine);
+    reader.account(&shard_stats[c]);
     return collect_sweep_points(engine, points);
   });
   std::vector<SweepPoint> points;
@@ -258,64 +163,118 @@ std::vector<SweepPoint> sweep_points_batched_streamed(
   return points;
 }
 
-}  // namespace
+// The one threshold closed loop, over consecutive sources with controller
+// and regulator state carried across them. When `baselines` is non-null it
+// holds one precomputed nominal reference energy per source (from a batched
+// MultiPointEngine pass) and the lockstep baseline simulator is skipped.
+ConsecutiveRunReport run_consecutive_impl(
+    const DvsBusSystem& system, const tech::PvtCorner& environment,
+    const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
+    const DvsRunConfig& config, const StreamConfig& stream, StreamStats* stats,
+    const double* baselines) {
+  for (const auto& source : sources) system.check_trace_width(*source);
+  const double vnom = system.design().node.vdd_nominal;
+  const double floor = system.dvs_floor(environment.process);
+  const double start = config.start_supply > 0.0 ? config.start_supply : vnom;
 
-void StreamStats::merge(const StreamStats& other) {
-  block_cycles = std::max(block_cycles, other.block_cycles);
-  blocks += other.blocks;
-  cycles += other.cycles;
-  peak_buffer_words = std::max(peak_buffer_words, other.peak_buffer_words);
+  bus::BusSimulator sim = system.make_simulator(environment);
+  sim.set_engine_mode(config.engine);
+  if (config.timing_jitter_sigma > 0.0) sim.set_timing_jitter(config.timing_jitter_sigma);
+  dvs::VoltageRegulator regulator(start, floor, vnom, config.regulator_delay_cycles);
+  dvs::ThresholdController controller(config.controller);
+  sim.set_supply(regulator.voltage());
+
+  ConsecutiveRunReport report;
+  std::uint64_t cycle = 0;
+
+  for (std::size_t source_index = 0; source_index < sources.size(); ++source_index) {
+    const bus::RunningTotals before = sim.totals();
+    double supply_sum = 0.0;
+    std::uint64_t source_cycles = 0;
+    bus::BusSimulator baseline = system.make_baseline_simulator(environment);
+    bus::BusSimulator* baseline_sim = baselines == nullptr ? &baseline : nullptr;
+    trace::BlockReader reader(*sources[source_index], stream.block_cycles);
+
+    // Window-batched closed loop: each logical segment runs at one
+    // regulator voltage and stays within one controller window, so only
+    // the segment's error COUNT feeds the controller — cycle-for-cycle
+    // equivalent to stepping one word at a time through
+    // observe_cycle()/advance(). The end of the trace is discovered, not
+    // planned, so decisions land on the same cycles for any source.
+    while (reader.available() > 0) {
+      sim.set_supply(regulator.advance(cycle));
+      const FeedResult fed =
+          feed(reader, sim, baseline_sim,
+               plan_segment(controller.cycles_remaining_in_window(),
+                            regulator.next_change_cycle(), cycle));
+      supply_sum += sim.supply() * static_cast<double>(fed.cycles);
+      cycle += fed.cycles;
+      source_cycles += fed.cycles;
+
+      const dvs::VoltageDecision decision =
+          controller.observe_segment(fed.cycles, fed.errors);
+      // The decision belongs to the last cycle of the segment (cycle - 1),
+      // exactly when the per-cycle loop would have issued it.
+      if (decision == dvs::VoltageDecision::step_down)
+        regulator.request_change(-config.controller.voltage_step, cycle - 1);
+      else if (decision == dvs::VoltageDecision::step_up)
+        regulator.request_change(+config.controller.voltage_step, cycle - 1);
+
+      if (config.record_series && controller.cycles_remaining_in_window() ==
+                                      config.controller.window_cycles &&
+          controller.windows_completed() > 0)
+        report.series.push_back(
+            {cycle, sim.supply(), controller.last_window_error_rate()});
+    }
+    reader.account(stats);
+
+    DvsRunReport r;
+    r.totals.cycles = sim.totals().cycles - before.cycles;
+    r.totals.errors = sim.totals().errors - before.errors;
+    r.totals.shadow_failures = sim.totals().shadow_failures - before.shadow_failures;
+    r.totals.bus_energy = sim.totals().bus_energy - before.bus_energy;
+    r.totals.overhead_energy = sim.totals().overhead_energy - before.overhead_energy;
+    r.floor_supply = floor;
+    r.average_supply = source_cycles == 0
+                           ? sim.supply()
+                           : supply_sum / static_cast<double>(source_cycles);
+    r.baseline_bus_energy = baselines != nullptr ? baselines[source_index]
+                                                 : baseline.totals().bus_energy;
+    report.per_trace.push_back(std::move(r));
+  }
+  return report;
 }
+
+// One source through run_consecutive_impl, series folded into the report.
+DvsRunReport run_closed_loop_impl(const DvsBusSystem& system,
+                                  const tech::PvtCorner& environment,
+                                  const trace::TraceSource& source,
+                                  const DvsRunConfig& config, const StreamConfig& stream,
+                                  StreamStats* stats, const double* baseline) {
+  std::vector<std::unique_ptr<trace::TraceSource>> one;
+  one.push_back(source.clone());
+  ConsecutiveRunReport r =
+      run_consecutive_impl(system, environment, one, config, stream, stats, baseline);
+  DvsRunReport out = std::move(r.per_trace.front());
+  out.series = std::move(r.series);
+  return out;
+}
+
+}  // namespace
 
 StaticSweepResult static_voltage_sweep(const DvsBusSystem& system,
                                        const tech::PvtCorner& environment,
                                        const std::vector<trace::Trace>& traces,
                                        double timing_jitter_sigma,
                                        bus::EngineMode engine) {
-  for (const auto& t : traces) check_trace_width(system, t);
-  StaticSweepResult result;
-  result.floor_supply = system.shadow_floor(environment);
-  const double vnom = system.design().node.vdd_nominal;
-  const double step = 0.020;
-
-  // Supplies from the floor to nominal, anchored at the nominal grid.
-  std::vector<double> supplies;
-  for (double v = vnom; v > result.floor_supply - 1e-9; v -= step) supplies.push_back(v);
-  std::sort(supplies.begin(), supplies.end());
-
-  if (engine == bus::EngineMode::simd) {
-    // Batched: chunks of supplies share one trace pass each (bit-identical
-    // to the per-supply loop below — see the multipoint parity suite).
-    result.points = sweep_points_batched(system, environment, supplies,
-                                         timing_jitter_sigma, traces);
-  } else {
-    // One shard per supply point; each shard owns a fresh simulator (the
-    // jitter Rng is re-seeded per shard exactly as the sequential loop
-    // re-seeded it per supply), results land in ascending-supply order.
-    result.points = util::parallel_map(
-        util::global_pool(), supplies.size(), [&](std::size_t s) {
-          const double v = supplies[s];
-          bus::BusSimulator sim = system.make_simulator(environment);
-          sim.set_engine_mode(engine);
-          if (timing_jitter_sigma > 0.0) sim.set_timing_jitter(timing_jitter_sigma);
-          sim.set_supply(v);
-          for (const auto& t : traces) sim.run(t.words);
-
-          SweepPoint p;
-          p.supply = v;
-          p.error_rate = sim.totals().error_rate();
-          p.bus_energy = sim.totals().bus_energy;
-          p.total_energy = sim.totals().total_energy();
-          return p;
-        });
-  }
-
-  result.baseline_bus_energy = result.points.back().bus_energy;  // nominal supply
-  for (auto& p : result.points) {
-    p.norm_bus_energy = p.bus_energy / result.baseline_bus_energy;
-    p.norm_total_energy = p.total_energy / result.baseline_bus_energy;
-  }
-  return result;
+  // The traces run back to back through one simulator per supply: that is
+  // their concatenation. Widths are checked per trace first so a too-wide
+  // trace is named in the error.
+  auto views = view_sources(traces);
+  for (const auto& view : views) system.check_trace_width(*view);
+  const auto source = trace::concatenate_sources(std::move(views), "suite");
+  return static_voltage_sweep_streamed(system, environment, *source, timing_jitter_sigma,
+                                       engine);
 }
 
 std::vector<TargetGainPoint> gains_for_targets(const StaticSweepResult& sweep,
@@ -365,201 +324,41 @@ VoltageDistribution oracle_voltage_distribution(const DvsBusSystem& system,
   return out;
 }
 
-// Shared body of run_consecutive: `baselines`, when non-null, supplies the
-// per-trace nominal-supply reference energy (baselines[i] for traces[i])
-// instead of the run_reference pass per trace — the batched PVT driver
-// precomputes all samples' baselines in one multi-point pass.
-static ConsecutiveRunReport run_consecutive_impl(const DvsBusSystem& system,
-                                                 const tech::PvtCorner& environment,
-                                                 const std::vector<trace::Trace>& traces,
-                                                 const DvsRunConfig& config,
-                                                 const double* baselines) {
-  for (const auto& t : traces) check_trace_width(system, t);
-  const double vnom = system.design().node.vdd_nominal;
-  const double floor = system.dvs_floor(environment.process);
-  const double start = config.start_supply > 0.0 ? config.start_supply : vnom;
-
-  bus::BusSimulator sim = system.make_simulator(environment);
-  sim.set_engine_mode(config.engine);
-  if (config.timing_jitter_sigma > 0.0) sim.set_timing_jitter(config.timing_jitter_sigma);
-  dvs::VoltageRegulator regulator(start, floor, vnom, config.regulator_delay_cycles);
-  dvs::ThresholdController controller(config.controller);
-  sim.set_supply(regulator.voltage());
-
-  ConsecutiveRunReport report;
-  std::uint64_t cycle = 0;
-
-  for (std::size_t trace_index = 0; trace_index < traces.size(); ++trace_index) {
-    const auto& trace = traces[trace_index];
-    const bus::RunningTotals before = sim.totals();
-    double supply_sum = 0.0;
-
-    // Window-batched closed loop: each span runs at one regulator voltage
-    // and stays within one controller window, so the whole span goes
-    // through the batched engine and only the span's error COUNT feeds the
-    // controller — cycle-for-cycle equivalent to stepping one word at a
-    // time through observe_cycle()/advance().
-    std::size_t i = 0;
-    const std::size_t n = trace.words.size();
-    while (i < n) {
-      sim.set_supply(regulator.advance(cycle));
-      const std::uint64_t seg =
-          next_segment(static_cast<std::uint64_t>(n - i),
-                       controller.cycles_remaining_in_window(),
-                       regulator.next_change_cycle(), cycle);
-      const bus::RunningTotals d = sim.run(trace.words.data() + i, seg);
-      supply_sum += sim.supply() * static_cast<double>(seg);
-      i += static_cast<std::size_t>(seg);
-      cycle += seg;
-
-      const dvs::VoltageDecision decision = controller.observe_segment(seg, d.errors);
-      // The decision belongs to the last cycle of the span (cycle - 1),
-      // exactly when the per-cycle loop would have issued it.
-      if (decision == dvs::VoltageDecision::step_down)
-        regulator.request_change(-config.controller.voltage_step, cycle - 1);
-      else if (decision == dvs::VoltageDecision::step_up)
-        regulator.request_change(+config.controller.voltage_step, cycle - 1);
-
-      if (config.record_series && controller.cycles_remaining_in_window() ==
-                                      config.controller.window_cycles &&
-          controller.windows_completed() > 0)
-        report.series.push_back(
-            {cycle, sim.supply(), controller.last_window_error_rate()});
-    }
-
-    DvsRunReport r;
-    r.totals.cycles = sim.totals().cycles - before.cycles;
-    r.totals.errors = sim.totals().errors - before.errors;
-    r.totals.shadow_failures = sim.totals().shadow_failures - before.shadow_failures;
-    r.totals.bus_energy = sim.totals().bus_energy - before.bus_energy;
-    r.totals.overhead_energy = sim.totals().overhead_energy - before.overhead_energy;
-    r.floor_supply = floor;
-    r.average_supply =
-        trace.words.empty() ? sim.supply()
-                            : supply_sum / static_cast<double>(trace.words.size());
-    r.baseline_bus_energy =
-        baselines != nullptr
-            ? baselines[trace_index]
-            : bus::BusSimulator::run_reference(system.design(), system.table(),
-                                               environment, trace.words)
-                  .bus_energy;
-    report.per_trace.push_back(std::move(r));
-  }
-  return report;
-}
-
 ConsecutiveRunReport run_consecutive(const DvsBusSystem& system,
                                      const tech::PvtCorner& environment,
                                      const std::vector<trace::Trace>& traces,
                                      const DvsRunConfig& config) {
-  return run_consecutive_impl(system, environment, traces, config, nullptr);
+  return run_consecutive_streamed(system, environment, view_sources(traces), config);
 }
 
 DvsRunReport run_closed_loop(const DvsBusSystem& system,
                              const tech::PvtCorner& environment,
                              const trace::Trace& trace, const DvsRunConfig& config) {
-  ConsecutiveRunReport r = run_consecutive(system, environment, {trace}, config);
-  DvsRunReport out = std::move(r.per_trace.front());
-  out.series = std::move(r.series);
-  return out;
-}
-
-// Closed loop with a precomputed nominal baseline (the batched PVT path).
-static DvsRunReport run_closed_loop_with_baseline(const DvsBusSystem& system,
-                                                  const tech::PvtCorner& environment,
-                                                  const trace::Trace& trace,
-                                                  const DvsRunConfig& config,
-                                                  double baseline_bus_energy) {
-  ConsecutiveRunReport r = run_consecutive_impl(system, environment, {trace}, config,
-                                                &baseline_bus_energy);
-  DvsRunReport out = std::move(r.per_trace.front());
-  out.series = std::move(r.series);
-  return out;
+  return run_closed_loop_streamed(system, environment,
+                                  *trace::make_trace_view_source(trace), config);
 }
 
 DvsRunReport run_closed_loop_proportional(const DvsBusSystem& system,
                                           const tech::PvtCorner& environment,
                                           const trace::Trace& trace,
                                           const ProportionalRunConfig& config) {
-  check_trace_width(system, trace);
-  const double vnom = system.design().node.vdd_nominal;
-  const double floor = system.dvs_floor(environment.process);
-  const double start = config.start_supply > 0.0 ? config.start_supply : vnom;
-
-  bus::BusSimulator sim = system.make_simulator(environment);
-  sim.set_engine_mode(config.engine);
-  if (config.timing_jitter_sigma > 0.0) sim.set_timing_jitter(config.timing_jitter_sigma);
-  dvs::VoltageRegulator regulator(start, floor, vnom, config.regulator_delay_cycles);
-  dvs::ProportionalController controller(config.controller);
-  sim.set_supply(regulator.voltage());
-
-  double supply_sum = 0.0;
-  std::uint64_t cycle = 0;
-  std::size_t i = 0;
-  const std::size_t n = trace.words.size();
-  while (i < n) {
-    sim.set_supply(regulator.advance(cycle));
-    const std::uint64_t seg = next_segment(static_cast<std::uint64_t>(n - i),
-                                           controller.cycles_remaining_in_window(),
-                                           regulator.next_change_cycle(), cycle);
-    const bus::RunningTotals d = sim.run(trace.words.data() + i, seg);
-    supply_sum += sim.supply() * static_cast<double>(seg);
-    i += static_cast<std::size_t>(seg);
-    cycle += seg;
-
-    const double delta = controller.observe_segment(seg, d.errors);
-    // razorlint: allow(float-eq): the controller returns literal 0.0 for
-    // "no step"; any nonzero delta, however tiny, is a real request.
-    if (delta != 0.0) regulator.request_change(delta, cycle - 1);
-  }
-
-  DvsRunReport report;
-  report.totals = sim.totals();
-  report.floor_supply = floor;
-  report.average_supply =
-      trace.words.empty() ? sim.supply() : supply_sum / static_cast<double>(cycle);
-  report.baseline_bus_energy =
-      bus::BusSimulator::run_reference(system.design(), system.table(), environment,
-                                       trace.words)
-          .bus_energy;
-  return report;
+  return run_closed_loop_proportional_streamed(
+      system, environment, *trace::make_trace_view_source(trace), config);
 }
 
 DvsRunReport run_fixed_vs(const DvsBusSystem& system, const tech::PvtCorner& environment,
                           const trace::Trace& trace, bus::EngineMode engine,
                           double timing_jitter_sigma) {
-  check_trace_width(system, trace);
-  const double supply = system.fixed_vs_supply(environment.process);
-
-  // Conventional receiver: no double-sampling overhead at all.
-  razor::RecoveryCostModel no_overhead;
-  no_overhead.flop_clock_energy = 0.0;
-  no_overhead.detection_energy_per_cycle = 0.0;
-
-  bus::BusSimulator sim(system.design(), system.table(), environment, no_overhead);
-  sim.set_engine_mode(engine);
-  if (timing_jitter_sigma > 0.0) sim.set_timing_jitter(timing_jitter_sigma);
-  sim.set_supply(supply);
-  sim.run(trace.words);
-
-  DvsRunReport report;
-  report.totals = sim.totals();
-  report.floor_supply = supply;
-  report.average_supply = supply;
-  report.baseline_bus_energy =
-      bus::BusSimulator::run_reference(system.design(), system.table(), environment,
-                                       trace.words)
-          .bus_energy;
-  return report;
+  return run_fixed_vs_streamed(system, environment, *trace::make_trace_view_source(trace),
+                               engine, timing_jitter_sigma);
 }
 
 std::vector<DvsRunReport> run_closed_loop_suite(const DvsBusSystem& system,
                                                 const tech::PvtCorner& environment,
                                                 const std::vector<trace::Trace>& traces,
                                                 const DvsRunConfig& config) {
-  return util::parallel_map(util::global_pool(), traces.size(), [&](std::size_t t) {
-    return run_closed_loop(system, environment, traces[t], config);
-  });
+  return run_closed_loop_suite_streamed(system, environment, view_sources(traces),
+                                        config);
 }
 
 std::vector<DvsRunReport> run_fixed_vs_suite(const DvsBusSystem& system,
@@ -567,64 +366,16 @@ std::vector<DvsRunReport> run_fixed_vs_suite(const DvsBusSystem& system,
                                              const std::vector<trace::Trace>& traces,
                                              bus::EngineMode engine,
                                              double timing_jitter_sigma) {
-  return util::parallel_map(util::global_pool(), traces.size(), [&](std::size_t t) {
-    return run_fixed_vs(system, environment, traces[t], engine, timing_jitter_sigma);
-  });
+  return run_fixed_vs_suite_streamed(system, environment, view_sources(traces), engine,
+                                     timing_jitter_sigma);
 }
 
 PvtSampleResult pvt_sample_gains(const DvsBusSystem& system, const trace::Trace& trace,
                                  const PvtSampleConfig& config) {
-  const auto n = static_cast<std::size_t>(std::max(config.samples, 0));
-  PvtSampleResult out;
-  if (config.run.engine == bus::EngineMode::simd && n > 0) {
-    // Batched baselines: the closed loops themselves diverge per sample
-    // (the controller feeds back), but every sample's NOMINAL reference
-    // pass — one run_reference per corner, identical trace — is a pure
-    // multi-point batch: one pass over the trace for all N corners.
-    check_trace_width(system, trace);
-    std::vector<tech::PvtCorner> corners(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      Rng rng(util::shard_seed(config.seed, s));
-      corners[s] = draw_pvt_corner(rng);
-    }
-    const double vnom = system.design().node.vdd_nominal;
-    std::vector<bus::OperatingPoint> points(n);
-    for (std::size_t s = 0; s < n; ++s) points[s] = {vnom, corners[s]};
-    const std::vector<bus::RunningTotals> baselines =
-        bus::multi_point_run(system.design(), system.table(), points, trace.words);
-    out.samples = util::parallel_map(util::global_pool(), n, [&](std::size_t s) {
-      PvtSample sample;
-      sample.corner = corners[s];
-      sample.report = run_closed_loop_with_baseline(system, sample.corner, trace,
-                                                    config.run,
-                                                    baselines[s].bus_energy);
-      return sample;
-    });
-  } else {
-    out.samples = util::parallel_map(util::global_pool(), n, [&](std::size_t s) {
-      // Private Rng stream per sample: the drawn population depends only on
-      // (seed, sample index), never on the shard-to-thread assignment.
-      Rng rng(util::shard_seed(config.seed, s));
-      PvtSample sample;
-      sample.corner = draw_pvt_corner(rng);
-      sample.report = run_closed_loop(system, sample.corner, trace, config.run);
-      return sample;
-    });
-  }
-
-  // Per-shard singleton stats merged in shard order: the aggregate is the
-  // same double sequence no matter how many threads ran the samples.
-  for (const auto& sample : out.samples) {
-    RunningStats gain, err;
-    gain.add(sample.report.energy_gain());
-    err.add(sample.report.error_rate());
-    out.gain_stats.merge(gain);
-    out.err_stats.merge(err);
-  }
-  return out;
+  return pvt_sample_gains_streamed(system, *trace::make_trace_view_source(trace), config);
 }
 
-// --------------------------------------------- streamed drivers (§12)
+// ------------------------------------------------------ streamed bodies (§12)
 
 StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
                                                 const tech::PvtCorner& environment,
@@ -633,30 +384,30 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
                                                 bus::EngineMode engine,
                                                 const StreamConfig& stream,
                                                 StreamStats* stats) {
-  check_source_width(system, source);
+  system.check_trace_width(source);
   StaticSweepResult result;
   result.floor_supply = system.shadow_floor(environment);
   const double vnom = system.design().node.vdd_nominal;
   const double step = 0.020;
 
+  // Supplies from the floor to nominal, anchored at the nominal grid.
   std::vector<double> supplies;
   for (double v = vnom; v > result.floor_supply - 1e-9; v -= step) supplies.push_back(v);
   std::sort(supplies.begin(), supplies.end());
 
+  std::vector<StreamStats> shard_stats(supplies.size());
   if (engine == bus::EngineMode::simd) {
-    // Batched: N supplies per stream drain instead of one (chunked over
-    // the pool), so the stream is pulled ~threads times, not per supply.
-    std::vector<StreamStats> shard_stats;
-    result.points = sweep_points_batched_streamed(
-        system, environment, supplies, timing_jitter_sigma, source, stream,
-        shard_stats);
-    if (stats != nullptr)
-      for (const auto& shard : shard_stats) stats->merge(shard);
+    // Batched: chunks of supplies share one stream drain each (bit-identical
+    // to the per-supply loop below — see the multipoint parity suite).
+    result.points = sweep_points_batched(system, environment, supplies,
+                                         timing_jitter_sigma, source, stream,
+                                         shard_stats);
   } else {
-    // One shard per supply, exactly like the materialized sweep; each shard
-    // drains its own clone of the stream, so total trace memory is
-    // block_cycles x live shards instead of the whole campaign.
-    std::vector<StreamStats> shard_stats(supplies.size());
+    // One shard per supply point; each shard owns a fresh simulator (the
+    // jitter Rng is re-seeded per shard exactly as the sequential loop
+    // re-seeded it per supply) and drains its own reader, so total trace
+    // memory is block_cycles x live shards. Results land in
+    // ascending-supply order.
     result.points = util::parallel_map(
         util::global_pool(), supplies.size(), [&](std::size_t s) {
           const double v = supplies[s];
@@ -664,9 +415,9 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
           sim.set_engine_mode(engine);
           if (timing_jitter_sigma > 0.0) sim.set_timing_jitter(timing_jitter_sigma);
           sim.set_supply(v);
-          StreamFeeder feeder(source, stream.block_cycles);
-          feeder.feed(sim, nullptr, std::numeric_limits<std::uint64_t>::max());
-          feeder.account(&shard_stats[s], stream.block_cycles);
+          trace::BlockReader reader(source, stream.block_cycles);
+          feed(reader, sim, nullptr, std::numeric_limits<std::uint64_t>::max());
+          reader.account(&shard_stats[s]);
 
           SweepPoint p;
           p.supply = v;
@@ -675,9 +426,9 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
           p.total_energy = sim.totals().total_energy();
           return p;
         });
-    if (stats != nullptr)
-      for (const auto& shard : shard_stats) stats->merge(shard);
   }
+  if (stats != nullptr)
+    for (const auto& shard : shard_stats) stats->merge(shard);
 
   result.baseline_bus_energy = result.points.back().bus_energy;  // nominal supply
   for (auto& p : result.points) {
@@ -687,92 +438,12 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
   return result;
 }
 
-// Shared body of run_consecutive_streamed: when `baselines` is non-null it
-// holds one precomputed nominal reference energy per source (from a batched
-// MultiPointEngine pass) and the lockstep baseline simulator is skipped.
-static ConsecutiveRunReport run_consecutive_streamed_impl(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
-    const DvsRunConfig& config, const StreamConfig& stream, StreamStats* stats,
-    const double* baselines) {
-  for (const auto& source : sources) check_source_width(system, *source);
-  const double vnom = system.design().node.vdd_nominal;
-  const double floor = system.dvs_floor(environment.process);
-  const double start = config.start_supply > 0.0 ? config.start_supply : vnom;
-
-  bus::BusSimulator sim = system.make_simulator(environment);
-  sim.set_engine_mode(config.engine);
-  if (config.timing_jitter_sigma > 0.0) sim.set_timing_jitter(config.timing_jitter_sigma);
-  dvs::VoltageRegulator regulator(start, floor, vnom, config.regulator_delay_cycles);
-  dvs::ThresholdController controller(config.controller);
-  sim.set_supply(regulator.voltage());
-
-  ConsecutiveRunReport report;
-  std::uint64_t cycle = 0;
-
-  for (std::size_t source_index = 0; source_index < sources.size(); ++source_index) {
-    const auto& source = sources[source_index];
-    const bus::RunningTotals before = sim.totals();
-    double supply_sum = 0.0;
-    std::uint64_t source_cycles = 0;
-    bus::BusSimulator baseline = make_baseline_sim(system, environment);
-    bus::BusSimulator* baseline_sim = baselines == nullptr ? &baseline : nullptr;
-    StreamFeeder feeder(*source, stream.block_cycles);
-
-    // The materialized driver's window-batched loop, with one change: a
-    // logical segment is planned from the controller window and the
-    // pending regulator change alone (the end of the trace is discovered,
-    // not known), and the feeder serves it across block refills. Control
-    // decisions therefore land on identical cycles.
-    while (feeder.has_more()) {
-      sim.set_supply(regulator.advance(cycle));
-      std::uint64_t planned = controller.cycles_remaining_in_window();
-      const std::uint64_t change = regulator.next_change_cycle();
-      if (change != dvs::VoltageRegulator::kNoPendingChange && change > cycle)
-        planned = std::min(planned, change - cycle);
-      const StreamFeeder::FeedResult fed = feeder.feed(sim, baseline_sim, planned);
-      supply_sum += sim.supply() * static_cast<double>(fed.cycles);
-      cycle += fed.cycles;
-      source_cycles += fed.cycles;
-
-      const dvs::VoltageDecision decision =
-          controller.observe_segment(fed.cycles, fed.errors);
-      if (decision == dvs::VoltageDecision::step_down)
-        regulator.request_change(-config.controller.voltage_step, cycle - 1);
-      else if (decision == dvs::VoltageDecision::step_up)
-        regulator.request_change(+config.controller.voltage_step, cycle - 1);
-
-      if (config.record_series && controller.cycles_remaining_in_window() ==
-                                      config.controller.window_cycles &&
-          controller.windows_completed() > 0)
-        report.series.push_back(
-            {cycle, sim.supply(), controller.last_window_error_rate()});
-    }
-    feeder.account(stats, stream.block_cycles);
-
-    DvsRunReport r;
-    r.totals.cycles = sim.totals().cycles - before.cycles;
-    r.totals.errors = sim.totals().errors - before.errors;
-    r.totals.shadow_failures = sim.totals().shadow_failures - before.shadow_failures;
-    r.totals.bus_energy = sim.totals().bus_energy - before.bus_energy;
-    r.totals.overhead_energy = sim.totals().overhead_energy - before.overhead_energy;
-    r.floor_supply = floor;
-    r.average_supply = source_cycles == 0
-                           ? sim.supply()
-                           : supply_sum / static_cast<double>(source_cycles);
-    r.baseline_bus_energy = baselines != nullptr ? baselines[source_index]
-                                                 : baseline.totals().bus_energy;
-    report.per_trace.push_back(std::move(r));
-  }
-  return report;
-}
-
 ConsecutiveRunReport run_consecutive_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
     const DvsRunConfig& config, const StreamConfig& stream, StreamStats* stats) {
-  return run_consecutive_streamed_impl(system, environment, sources, config, stream,
-                                       stats, nullptr);
+  return run_consecutive_impl(system, environment, sources, config, stream, stats,
+                              nullptr);
 }
 
 DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
@@ -780,28 +451,8 @@ DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const trace::TraceSource& source,
                                       const DvsRunConfig& config,
                                       const StreamConfig& stream, StreamStats* stats) {
-  std::vector<std::unique_ptr<trace::TraceSource>> one;
-  one.push_back(source.clone());
-  ConsecutiveRunReport r =
-      run_consecutive_streamed(system, environment, one, config, stream, stats);
-  DvsRunReport out = std::move(r.per_trace.front());
-  out.series = std::move(r.series);
-  return out;
-}
-
-// Closed loop over a stream with the nominal reference energy supplied by a
-// batched multi-point pass (see pvt_sample_gains_streamed).
-static DvsRunReport run_closed_loop_streamed_with_baseline(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const trace::TraceSource& source, const DvsRunConfig& config,
-    const StreamConfig& stream, StreamStats* stats, double baseline_bus_energy) {
-  std::vector<std::unique_ptr<trace::TraceSource>> one;
-  one.push_back(source.clone());
-  ConsecutiveRunReport r = run_consecutive_streamed_impl(
-      system, environment, one, config, stream, stats, &baseline_bus_energy);
-  DvsRunReport out = std::move(r.per_trace.front());
-  out.series = std::move(r.series);
-  return out;
+  return run_closed_loop_impl(system, environment, source, config, stream, stats,
+                              nullptr);
 }
 
 DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
@@ -810,7 +461,7 @@ DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
                                                    const ProportionalRunConfig& config,
                                                    const StreamConfig& stream,
                                                    StreamStats* stats) {
-  check_source_width(system, source);
+  system.check_trace_width(source);
   const double vnom = system.design().node.vdd_nominal;
   const double floor = system.dvs_floor(environment.process);
   const double start = config.start_supply > 0.0 ? config.start_supply : vnom;
@@ -822,17 +473,16 @@ DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
   dvs::ProportionalController controller(config.controller);
   sim.set_supply(regulator.voltage());
 
-  bus::BusSimulator baseline = make_baseline_sim(system, environment);
-  StreamFeeder feeder(source, stream.block_cycles);
+  bus::BusSimulator baseline = system.make_baseline_simulator(environment);
+  trace::BlockReader reader(source, stream.block_cycles);
   double supply_sum = 0.0;
   std::uint64_t cycle = 0;
-  while (feeder.has_more()) {
+  while (reader.available() > 0) {
     sim.set_supply(regulator.advance(cycle));
-    std::uint64_t planned = controller.cycles_remaining_in_window();
-    const std::uint64_t change = regulator.next_change_cycle();
-    if (change != dvs::VoltageRegulator::kNoPendingChange && change > cycle)
-      planned = std::min(planned, change - cycle);
-    const StreamFeeder::FeedResult fed = feeder.feed(sim, &baseline, planned);
+    const FeedResult fed =
+        feed(reader, sim, &baseline,
+             plan_segment(controller.cycles_remaining_in_window(),
+                          regulator.next_change_cycle(), cycle));
     supply_sum += sim.supply() * static_cast<double>(fed.cycles);
     cycle += fed.cycles;
 
@@ -841,7 +491,7 @@ DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
     // "no step"; any nonzero delta, however tiny, is a real request.
     if (delta != 0.0) regulator.request_change(delta, cycle - 1);
   }
-  feeder.account(stats, stream.block_cycles);
+  reader.account(stats);
 
   DvsRunReport report;
   report.totals = sim.totals();
@@ -857,7 +507,7 @@ DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
                                    const trace::TraceSource& source,
                                    bus::EngineMode engine, double timing_jitter_sigma,
                                    const StreamConfig& stream, StreamStats* stats) {
-  check_source_width(system, source);
+  system.check_trace_width(source);
   const double supply = system.fixed_vs_supply(environment.process);
 
   // Conventional receiver: no double-sampling overhead at all.
@@ -870,10 +520,10 @@ DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
   if (timing_jitter_sigma > 0.0) sim.set_timing_jitter(timing_jitter_sigma);
   sim.set_supply(supply);
 
-  bus::BusSimulator baseline = make_baseline_sim(system, environment);
-  StreamFeeder feeder(source, stream.block_cycles);
-  feeder.feed(sim, &baseline, std::numeric_limits<std::uint64_t>::max());
-  feeder.account(stats, stream.block_cycles);
+  bus::BusSimulator baseline = system.make_baseline_simulator(environment);
+  trace::BlockReader reader(source, stream.block_cycles);
+  feed(reader, sim, &baseline, std::numeric_limits<std::uint64_t>::max());
+  reader.account(stats);
 
   DvsRunReport report;
   report.totals = sim.totals();
@@ -920,64 +570,48 @@ PvtSampleResult pvt_sample_gains_streamed(const DvsBusSystem& system,
                                           const StreamConfig& stream,
                                           StreamStats* stats) {
   const auto n = static_cast<std::size_t>(std::max(config.samples, 0));
+  // Private Rng stream per sample: the drawn population depends only on
+  // (seed, sample index), never on the shard-to-thread assignment.
+  std::vector<tech::PvtCorner> corners(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    Rng rng(util::shard_seed(config.seed, s));
+    corners[s] = draw_pvt_corner(rng);
+  }
+
   std::vector<StreamStats> shard_stats(n);
   PvtSampleResult out;
   if (config.run.engine == bus::EngineMode::simd && n > 0) {
-    // Same batching as the materialized driver: all N per-corner nominal
-    // baselines in one streamed pass, then the (divergent) closed loops.
-    check_source_width(system, source);
-    if (stream.block_cycles == 0)
-      throw std::invalid_argument("stream: block_cycles must be > 0");
-    std::vector<tech::PvtCorner> corners(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      Rng rng(util::shard_seed(config.seed, s));
-      corners[s] = draw_pvt_corner(rng);
-    }
+    // Batched baselines: the closed loops themselves diverge per sample
+    // (the controller feeds back), but every sample's NOMINAL reference
+    // pass — one per corner, identical words — is a pure multi-point
+    // batch: one drain of the stream for all N corners.
+    system.check_trace_width(source);
     const double vnom = system.design().node.vdd_nominal;
     std::vector<bus::OperatingPoint> points(n);
     for (std::size_t s = 0; s < n; ++s) points[s] = {vnom, corners[s]};
-
     bus::MultiPointEngine baseline_engine(system.design(), system.table(), points);
-    StreamStats baseline_stats;
-    baseline_stats.block_cycles = stream.block_cycles;
-    {
-      const auto clone = source.clone();
-      std::vector<BusWord> buffer(stream.block_cycles);
-      for (;;) {
-        const std::size_t filled = clone->next_block(buffer.data(), buffer.size());
-        if (filled == 0) break;
-        baseline_engine.run(buffer.data(), filled);
-        ++baseline_stats.blocks;
-        baseline_stats.cycles += filled;
-      }
-      baseline_stats.peak_buffer_words =
-          std::max(baseline_stats.peak_buffer_words, buffer.size());
-    }
+    trace::BlockReader reader(source, stream.block_cycles);
+    feed_all(reader, baseline_engine);
+    reader.account(stats);
 
     out.samples = util::parallel_map(util::global_pool(), n, [&](std::size_t s) {
-      PvtSample sample;
-      sample.corner = corners[s];
-      sample.report = run_closed_loop_streamed_with_baseline(
-          system, sample.corner, source, config.run, stream, &shard_stats[s],
-          baseline_engine.totals(s).bus_energy);
-      return sample;
+      const double baseline = baseline_engine.totals(s).bus_energy;
+      return PvtSample{corners[s],
+                       run_closed_loop_impl(system, corners[s], source, config.run,
+                                            stream, &shard_stats[s], &baseline)};
     });
-    if (stats != nullptr) stats->merge(baseline_stats);
   } else {
     out.samples = util::parallel_map(util::global_pool(), n, [&](std::size_t s) {
-      // Identical per-shard Rng stream to the materialized driver: the drawn
-      // population depends only on (seed, sample index).
-      Rng rng(util::shard_seed(config.seed, s));
-      PvtSample sample;
-      sample.corner = draw_pvt_corner(rng);
-      sample.report = run_closed_loop_streamed(system, sample.corner, source,
-                                               config.run, stream, &shard_stats[s]);
-      return sample;
+      return PvtSample{corners[s],
+                       run_closed_loop_streamed(system, corners[s], source, config.run,
+                                                stream, &shard_stats[s])};
     });
   }
   if (stats != nullptr)
     for (const auto& shard : shard_stats) stats->merge(shard);
 
+  // Per-shard singleton stats merged in shard order: the aggregate is the
+  // same double sequence no matter how many threads ran the samples.
   for (const auto& sample : out.samples) {
     RunningStats gain, err;
     gain.add(sample.report.energy_gain());

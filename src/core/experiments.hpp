@@ -4,23 +4,28 @@
 // bench binaries are thin printers around them (see DESIGN.md section 4
 // for the experiment index).
 //
-// Each driver exists in two forms with one results contract:
+// Each experiment has ONE body, written against `trace::TraceSource`
+// (DESIGN.md §12) and drained through a `trace::BlockReader`, so campaign
+// length is bounded by simulation time, not memory. Every driver has two
+// signatures over that body:
 //
-//   * The MATERIALIZED form takes `trace::Trace` vectors — every cycle
-//     resident in RAM (16 bytes/cycle), indexable, and the golden
-//     reference the streamed form is tested against.
-//   * The STREAMED form (`*_streamed`, DESIGN.md §12) takes
-//     `trace::TraceSource` streams and iterates fixed-size blocks, so
-//     campaign length is bounded by simulation time, not memory. Reports
-//     are BIT-IDENTICAL to the materialized form on the same word
-//     sequence — same integer counts, exactly equal energy/supply doubles
-//     (enforced by tests/stream_test.cpp). Both forms obey the width rule:
-//     traces wider than the bus throw; narrower traces are legal (surplus
-//     wires hold).
+//   * The `*_streamed` signature takes sources and reports StreamStats.
+//   * The Trace-taking signature is a forwarding adapter: it views the
+//     resident words as a source (trace::make_trace_view_source), which the
+//     reader serves zero-copy, and runs the same body.
 //
-// Streamed drivers clone their source per shard (one clone per sweep
-// supply / suite trace / Monte-Carlo sample), so the §9 determinism
-// contract — bit-identical at any thread count — carries over unchanged.
+// A report therefore depends only on the word sequence — never on the
+// block size or on whether the words were resident (same integer counts,
+// exactly equal energy/supply doubles; tests/stream_test.cpp compares a
+// materialized trace against a lazy producer of the same words). The
+// nominal-supply baseline of every closed-loop and fixed-VS report comes
+// from a baseline simulator fed the same spans in lockstep
+// (DvsBusSystem::make_baseline_simulator). Traces wider than the bus
+// throw; narrower traces are legal (surplus wires hold).
+//
+// Drivers give each shard its own reader over a clone of the source (one
+// per sweep supply / suite trace / Monte-Carlo sample), so the §9
+// determinism contract — bit-identical at any thread count — holds.
 #pragma once
 
 #include <cstdint>
@@ -39,28 +44,20 @@ namespace razorbus::core {
 
 // ------------------------------------------------ streaming configuration
 // Block sizing for the streamed drivers: each active stream is served
-// through one buffer of `block_cycles` BusWords (1 MiB at the default), so
-// peak trace memory is block_cycles x concurrent shards, independent of
-// how many cycles the campaign runs. Purely a memory/throughput knob —
-// results are bit-identical at ANY block size (the batched engine's totals
-// are invariant under span splits, DESIGN.md §5).
+// through one buffer of `block_cycles` BusWords (1 MiB at the default; a
+// resident trace needs none), so peak trace memory is block_cycles x
+// concurrent shards, independent of how many cycles the campaign runs.
+// Purely a memory/throughput knob — results are bit-identical at ANY block
+// size (the batched engine's totals are invariant under span splits,
+// DESIGN.md §5).
 struct StreamConfig {
   std::size_t block_cycles = trace::kDefaultBlockCycles;
 };
 
-// Block accounting a streamed driver reports (surfaced in BENCH_*.json as
-// the stream_* metrics, docs/bench-reports.md): how much trace was pulled
-// and the largest trace buffer that was ever resident per shard — the
-// peak-RSS-relevant number a memory budget cares about. Counts cover every
-// pass the driver makes (the closed-loop baseline shares its pass; each
-// sweep supply is its own pass).
-struct StreamStats {
-  std::size_t block_cycles = 0;       // configured block size
-  std::uint64_t blocks = 0;           // next_block pulls, all shards
-  std::uint64_t cycles = 0;           // words streamed, all shards
-  std::size_t peak_buffer_words = 0;  // largest per-shard trace buffer
-  void merge(const StreamStats& other);
-};
+// Block accounting a streamed driver reports (trace::StreamStats). Counts
+// cover every pass the driver makes: the closed-loop baseline shares its
+// pass; each sweep supply (or SIMD chunk) is its own pass.
+using StreamStats = trace::StreamStats;
 
 // ---------------------------------------------------------------- Fig. 4
 struct SweepPoint {
@@ -81,17 +78,15 @@ struct StaticSweepResult {
 // Run the combined traces at every 20 mV grid supply from the corner's
 // shadow floor up to nominal. Sharded one supply point per shard (each
 // point runs on its own BusSimulator), results in ascending-supply order —
-// bit-identical at any thread count (DESIGN.md §9).
+// bit-identical at any thread count (DESIGN.md §9). The traces run back to
+// back, i.e. as their concatenation, so they must share one width.
 StaticSweepResult static_voltage_sweep(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<trace::Trace>& traces, double timing_jitter_sigma = 0.0,
     bus::EngineMode engine = bus::EngineMode::bit_parallel);
 
-// Streamed form: each supply shard clones `source` and drains it block by
-// block. A multi-trace sweep is the concatenation of its traces (the
-// materialized form runs them back to back through one simulator), so pass
-// trace::concatenate_sources for suites. Bit-identical to the materialized
-// sweep on the same word sequence.
+// Streamed form: each supply shard (or SIMD chunk of supplies) drains its
+// own reader over `source`. For a suite pass trace::concatenate_sources.
 StaticSweepResult static_voltage_sweep_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const trace::TraceSource& source, double timing_jitter_sigma = 0.0,
@@ -155,10 +150,6 @@ struct DvsRunConfig {
   // Cycle engine for the run. Results are bit-identical either way
   // (DESIGN.md §5); scenario specs select `reference` to cross-check.
   bus::EngineMode engine = bus::EngineMode::bit_parallel;
-  // Provenance: adaptive characterization tolerance of the system's table
-  // (0 = dense). The run itself only reads the table; campaign drivers use
-  // this to build the system via lut_config_for_tolerance().
-  double lut_tolerance = 0.0;
 };
 
 struct DvsRunReport {
@@ -182,11 +173,11 @@ DvsRunReport run_closed_loop(const DvsBusSystem& system,
                              const trace::Trace& trace, const DvsRunConfig& config = {});
 
 // Streamed form: single pass over a clone of `source`, with the
-// nominal-supply baseline simulator fed the same blocks in lockstep (so no
-// second pass and no materialization anywhere). Control decisions are made
-// on the same cycle boundaries as the materialized driver — segments are
-// delimited by controller windows and regulator change landings, never by
-// block boundaries — so the report is bit-identical.
+// nominal-supply baseline simulator fed the same spans in lockstep (so no
+// second pass and no materialization anywhere). Segments are delimited by
+// controller windows and regulator change landings, never by block
+// boundaries, so control decisions land on the same cycles at any block
+// size.
 DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const tech::PvtCorner& environment,
                                       const trace::TraceSource& source,
@@ -246,10 +237,10 @@ ConsecutiveRunReport run_consecutive(const DvsBusSystem& system,
 
 // Streamed form of the paper's headline run: the consecutive-benchmark
 // stream is executed one source at a time with controller/regulator state
-// carried across boundaries, exactly like the materialized driver — this
-// is the path that makes billion-cycle Fig. 8 campaigns memory-feasible.
-// Sources are NOT cloned (the pass is inherently sequential); per-source
-// baselines stream in lockstep with the DVS simulator.
+// carried across boundaries — the path that makes billion-cycle Fig. 8
+// campaigns memory-feasible. The pass is sequential (one reader per
+// source, in order); per-source baselines run in lockstep with the DVS
+// simulator.
 ConsecutiveRunReport run_consecutive_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
@@ -271,8 +262,8 @@ std::vector<DvsRunReport> run_fixed_vs_suite(
     bus::EngineMode engine = bus::EngineMode::bit_parallel,
     double timing_jitter_sigma = 0.0);
 
-// Streamed suite forms: one shard per source, each shard cloning its
-// source and running the streamed single-trace driver.
+// Streamed suite forms: one shard per source, each shard running the
+// streamed single-trace driver on its own reader.
 std::vector<DvsRunReport> run_closed_loop_suite_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
@@ -312,10 +303,10 @@ struct PvtSampleResult {
 PvtSampleResult pvt_sample_gains(const DvsBusSystem& system, const trace::Trace& trace,
                                  const PvtSampleConfig& config = {});
 
-// Streamed form: each sample shard draws its corner from the identical
-// per-shard Rng stream, then runs the streamed closed loop on its own
-// clone of `source` — the population and every derived statistic match
-// the materialized form bit for bit.
+// Streamed form: each sample shard runs the closed loop on its own reader
+// over `source`. Under EngineMode::simd every sample's nominal baseline
+// comes from one multi-point drain of the stream instead of a lockstep
+// simulator per sample (bit-identical either way).
 PvtSampleResult pvt_sample_gains_streamed(const DvsBusSystem& system,
                                           const trace::TraceSource& source,
                                           const PvtSampleConfig& config = {},

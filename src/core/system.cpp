@@ -22,6 +22,21 @@ bus::BusSimulator DvsBusSystem::make_simulator(const tech::PvtCorner& environmen
   return bus::BusSimulator(design_, table_, environment);
 }
 
+bus::BusSimulator DvsBusSystem::make_baseline_simulator(
+    const tech::PvtCorner& environment) const {
+  bus::BusSimulator sim = make_simulator(environment);
+  sim.set_supply(design_.node.vdd_nominal);
+  return sim;
+}
+
+void DvsBusSystem::check_trace_width(const trace::TraceSource& source) const {
+  if (source.n_bits() > design_.n_bits)
+    throw std::invalid_argument("experiment: trace '" + source.name() + "' is " +
+                                std::to_string(source.n_bits()) +
+                                " bits wide but the bus has " +
+                                std::to_string(design_.n_bits) + " wires");
+}
+
 double DvsBusSystem::dvs_floor(tech::ProcessCorner process) const {
   return dvs::dvs_floor_voltage(design_, table_, process);
 }

@@ -24,6 +24,7 @@
 #include "lut/table.hpp"
 #include "tech/corner.hpp"
 #include "tech/device.hpp"
+#include "trace/source.hpp"
 #include "trace/trace.hpp"
 
 namespace razorbus::core {
@@ -52,6 +53,18 @@ class DvsBusSystem {
 
   // Fresh cycle simulator for an environment.
   bus::BusSimulator make_simulator(const tech::PvtCorner& environment) const;
+
+  // Nominal-supply conventional-bus simulator matching
+  // BusSimulator::run_reference (default recovery model, supply pinned at
+  // nominal): fed the same words as a DVS run, in lockstep, its totals
+  // equal a run_reference pass over them bit for bit. Every driver takes
+  // its baseline energy from one of these.
+  bus::BusSimulator make_baseline_simulator(const tech::PvtCorner& environment) const;
+
+  // The drivers' width rule: a trace wider than the bus would silently drop
+  // its high wires, so it throws std::invalid_argument; narrower traces
+  // are legal (the surplus wires hold).
+  void check_trace_width(const trace::TraceSource& source) const;
 
   // Regulator floor for a process corner (shadow-safe under conservative
   // worst-case temperature and IR drop).

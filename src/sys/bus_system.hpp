@@ -23,9 +23,11 @@
 //    window count equals the lane count; and the controller is fed whole
 //    windows, which the count-based threshold decision cannot
 //    distinguish from the single-bus per-segment feeding.
-//  * STREAM PARITY: the streamed form serves logical segments across
-//    block refills, so block boundaries never move a control decision;
-//    streamed reports are bit-identical to materialized ones.
+//  * ONE BODY: the lockstep loop lives in run_closed_loop_streamed, which
+//    drains one trace::BlockReader per lane and serves logical segments
+//    across reader spans, so block boundaries never move a control
+//    decision. run_closed_loop forwards to it over zero-copy views of the
+//    resident traces, so both report identically on the same words.
 //  * DRIFT: an enabled drift::Schedule re-derives the operating corner at
 //    every controller-window boundary and applies it to all lanes AND
 //    their lockstep nominal baselines (the gain under drift compares the
@@ -59,16 +61,10 @@ struct BusLane {
   double weight = 1.0;
 };
 
-// Mirrors core::DvsRunConfig field-for-field (so a single-bus config maps
-// 1:1 onto the N=1 parity case), plus the system-level knobs.
+// The single-bus run config (so a single-bus config maps 1:1 onto the N=1
+// parity case) plus the system-level knobs.
 struct SystemRunConfig {
-  dvs::ControllerConfig controller{};
-  std::uint64_t regulator_delay_cycles = 3000;  // 2 us at 1.5 GHz
-  double start_supply = 0.0;                    // 0 = nominal
-  double timing_jitter_sigma = 0.0;
-  bool record_series = false;
-  bus::EngineMode engine = bus::EngineMode::bit_parallel;
-  double lut_tolerance = 0.0;  // provenance, as core::DvsRunConfig
+  core::DvsRunConfig run{};
   dvs::ArbitrationPolicy arbitration = dvs::ArbitrationPolicy::max_error;
   drift::Schedule drift{};  // default-constructed = disabled
 };
@@ -125,14 +121,14 @@ class BusSystem {
 
   // Materialized run: one trace per lane, lockstep; the run ends when the
   // shortest trace does. Traces wider than their lane throw (the
-  // single-bus width rule, per lane).
+  // single-bus width rule, per lane). Forwards to run_closed_loop_streamed
+  // over zero-copy views of the traces.
   SystemRunReport run_closed_loop(const tech::PvtCorner& environment,
                                   const std::vector<trace::Trace>& traces,
                                   const SystemRunConfig& config = {}) const;
 
-  // Streamed run: one source per lane, cloned and drained block by block
-  // in lockstep; ends when the first source does. Bit-identical to the
-  // materialized form on the same word sequences.
+  // Streamed run: one source per lane, each drained through its own
+  // reader in lockstep; ends when the first source does.
   SystemRunReport run_closed_loop_streamed(
       const tech::PvtCorner& environment,
       const std::vector<std::unique_ptr<trace::TraceSource>>& sources,

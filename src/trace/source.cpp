@@ -8,7 +8,8 @@ namespace razorbus::trace {
 
 namespace {
 
-// Serves a materialized word vector block by block. Shared ownership keeps
+// Serves a materialized word vector: copied block by block through
+// next_block, or in place through next_span. Shared ownership keeps
 // clone() allocation-free beyond the source object itself; the view
 // factory passes a non-owning aliasing pointer instead.
 class MaterializedSource final : public TraceSource {
@@ -21,6 +22,14 @@ class MaterializedSource final : public TraceSource {
   std::size_t next_block(BusWord* dst, std::size_t max) override {
     const std::size_t n = std::min(max, trace_->words.size() - pos_);
     std::copy_n(trace_->words.data() + pos_, n, dst);
+    pos_ += n;
+    return n;
+  }
+
+  std::size_t next_span(const BusWord*& words, std::size_t max,
+                        std::vector<BusWord>&) override {
+    const std::size_t n = std::min(max, trace_->words.size() - pos_);
+    words = trace_->words.data() + pos_;
     pos_ += n;
     return n;
   }
@@ -59,6 +68,17 @@ class ConcatenatedSource final : public TraceSource {
     // shapes intact.
     while (current_ < parts_.size()) {
       const std::size_t n = parts_[current_]->next_block(dst, max);
+      if (n > 0) return n;
+      ++current_;
+    }
+    return 0;
+  }
+
+  // Same part-by-part service, so resident parts stay zero-copy.
+  std::size_t next_span(const BusWord*& words, std::size_t max,
+                        std::vector<BusWord>& scratch) override {
+    while (current_ < parts_.size()) {
+      const std::size_t n = parts_[current_]->next_span(words, max, scratch);
       if (n > 0) return n;
       ++current_;
     }
@@ -167,6 +187,53 @@ class WidenedSource final : public TraceSource {
 };
 
 }  // namespace
+
+std::size_t TraceSource::next_span(const BusWord*& words, std::size_t max,
+                                   std::vector<BusWord>& scratch) {
+  if (scratch.size() < max) scratch.resize(max);
+  words = scratch.data();
+  return next_block(scratch.data(), max);
+}
+
+void StreamStats::merge(const StreamStats& other) {
+  block_cycles = std::max(block_cycles, other.block_cycles);
+  blocks += other.blocks;
+  cycles += other.cycles;
+  peak_buffer_words = std::max(peak_buffer_words, other.peak_buffer_words);
+}
+
+BlockReader::BlockReader(const TraceSource& prototype, std::size_t block_cycles)
+    : source_(prototype.clone()), block_cycles_(block_cycles) {
+  if (block_cycles == 0) throw std::invalid_argument("stream: block_cycles must be > 0");
+}
+
+std::size_t BlockReader::available() {
+  if (pos_ == filled_ && !eof_) {
+    filled_ = source_->next_span(span_, block_cycles_, scratch_);
+    pos_ = 0;
+    if (filled_ == 0) {
+      eof_ = true;
+    } else {
+      ++blocks_;
+      pulled_ += filled_;
+    }
+  }
+  return filled_ - pos_;
+}
+
+const BusWord* BlockReader::take(std::size_t count) {
+  const BusWord* words = span_ + pos_;
+  pos_ += count;
+  return words;
+}
+
+void BlockReader::account(StreamStats* stats) const {
+  if (stats == nullptr) return;
+  stats->block_cycles = block_cycles_;
+  stats->blocks += blocks_;
+  stats->cycles += pulled_;
+  stats->peak_buffer_words = std::max(stats->peak_buffer_words, scratch_.size());
+}
 
 std::unique_ptr<TraceSource> make_trace_source(Trace trace) {
   return std::make_unique<MaterializedSource>(

@@ -4,9 +4,10 @@
 // caps campaign length by memory: a 10^9-cycle consecutive-benchmark run
 // would need ~16 GB before the first simulated cycle. `TraceSource` is the
 // bounded-memory alternative: a pull-based block iterator over the same
-// per-cycle word sequence. Consumers drain it through a fixed-size buffer
-// (`kDefaultBlockCycles` words by default), so the resident trace memory of
-// a streamed experiment is O(block), independent of campaign length.
+// per-cycle word sequence. Consumers drain it through a `BlockReader`
+// (`kDefaultBlockCycles` words per block by default), so the resident
+// trace memory of a streamed experiment is O(block), independent of
+// campaign length.
 //
 // Contracts every source maintains:
 //
@@ -67,6 +68,14 @@ class TraceSource {
   // Fresh, independent stream over the same word sequence, positioned at
   // the first word. Cloning never disturbs this stream's position.
   virtual std::unique_ptr<TraceSource> clone() const = 0;
+
+  // next_block without the copy where there is nothing to copy: points
+  // `words` at up to `max` consecutive words and returns how many (0 =
+  // exhausted, as next_block). A source whose words are already resident
+  // points into its own storage and leaves `scratch` untouched; the
+  // default grows `scratch` to `max` words and fills it via next_block.
+  virtual std::size_t next_span(const BusWord*& words, std::size_t max,
+                                std::vector<BusWord>& scratch);
 };
 
 // Default consumer block size: 64 Ki words = 1 MiB of BusWord buffer. Big
@@ -74,11 +83,58 @@ class TraceSource {
 // small enough that dozens of concurrent shards stay cache- and RAM-cheap.
 inline constexpr std::size_t kDefaultBlockCycles = std::size_t{1} << 16;
 
-// Stream over a materialized trace (the golden-reference bridge: parity
-// tests stream the exact vector the legacy path indexes). The owning
-// overloads keep the trace alive via shared ownership, so clones are
-// cheap; the view overload does NOT copy or own — the caller guarantees
-// `trace` outlives the source and every clone.
+// Block accounting of one or more BlockReaders (surfaced in BENCH_*.json
+// as the stream_* metrics, docs/bench-reports.md): how much trace was
+// pulled, and the largest trace buffer ever resident per reader — the
+// peak-RSS-relevant number a memory budget cares about.
+struct StreamStats {
+  std::size_t block_cycles = 0;       // configured block size
+  std::uint64_t blocks = 0;           // non-empty pulls, all readers
+  std::uint64_t cycles = 0;           // words pulled, all readers
+  std::size_t peak_buffer_words = 0;  // largest per-reader trace buffer
+  void merge(const StreamStats& other);
+};
+
+// The one consumer-side reader every streamed driver drains a source
+// through: it clones `prototype` and pulls spans of at most
+// `block_cycles` words (next_span), handing them out in pieces of any
+// size. A resident source (make_trace_source / make_trace_view_source)
+// is served straight from its vector — no copy, no buffer, and
+// peak_buffer_words 0; every other source is copied through one buffer of
+// `block_cycles` words. Either way `blocks` counts the non-empty pulls
+// and `cycles` the words pulled, so both paths report the same blocks
+// and cycles for the same word sequence.
+class BlockReader {
+ public:
+  BlockReader(const TraceSource& prototype, std::size_t block_cycles);
+
+  // Words ready without another pull, pulling the next span first when
+  // the current one is used up; 0 only once the stream is exhausted.
+  std::size_t available();
+
+  // The next `count` words (count <= available()). The pointer stays
+  // valid until the next pull.
+  const BusWord* take(std::size_t count);
+
+  void account(StreamStats* stats) const;
+
+ private:
+  std::unique_ptr<TraceSource> source_;
+  std::size_t block_cycles_;
+  std::vector<BusWord> scratch_;
+  const BusWord* span_ = nullptr;
+  std::size_t pos_ = 0;
+  std::size_t filled_ = 0;
+  bool eof_ = false;
+  std::uint64_t blocks_ = 0;
+  std::uint64_t pulled_ = 0;
+};
+
+// Stream over a materialized trace, served zero-copy to a BlockReader.
+// This is how every Trace-taking experiment driver runs its streamed
+// body. The owning overloads keep the trace alive via shared ownership,
+// so clones are cheap; the view overload does NOT copy or own — the
+// caller guarantees `trace` outlives the source and every clone.
 std::unique_ptr<TraceSource> make_trace_source(Trace trace);
 std::unique_ptr<TraceSource> make_trace_source(std::shared_ptr<const Trace> trace);
 std::unique_ptr<TraceSource> make_trace_view_source(const Trace& trace);

@@ -55,9 +55,9 @@ trace::Trace synth(std::size_t cycles, std::uint64_t seed) {
 
 sys::SystemRunConfig run_config(drift::Schedule schedule = {}) {
   sys::SystemRunConfig config;
-  config.controller.window_cycles = 2000;
-  config.regulator_delay_cycles = 700;
-  config.record_series = true;
+  config.run.controller.window_cycles = 2000;
+  config.run.regulator_delay_cycles = 700;
+  config.run.record_series = true;
   config.drift = std::move(schedule);
   return config;
 }

@@ -6,7 +6,9 @@
 // PVT sampling) — while touching only block-bounded trace memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -241,7 +243,8 @@ TEST(StreamSimulator, RejectsStreamsWiderThanTheBus) {
 // ------------------------------------- experiment drivers (parity suite)
 
 TEST(StreamParity, ClosedLoopThresholdBitIdentical) {
-  const trace::Trace t = trace::generate_synthetic(synth_config(60000, 42), "t");
+  const auto cfg = synth_config(60000, 42);
+  const trace::Trace t = trace::generate_synthetic(cfg, "t");
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
   core::DvsRunConfig config = parity_config();
@@ -249,7 +252,7 @@ TEST(StreamParity, ClosedLoopThresholdBitIdentical) {
 
   const core::DvsRunReport golden = core::run_closed_loop(system, corner, t, config);
   for (const std::size_t block : {kOddBlock, trace::kDefaultBlockCycles}) {
-    const auto source = trace::make_trace_view_source(t);
+    const auto source = trace::make_synthetic_source(cfg, "t");
     core::StreamStats stats;
     const core::DvsRunReport streamed = core::run_closed_loop_streamed(
         system, corner, *source, config, core::StreamConfig{block}, &stats);
@@ -260,7 +263,8 @@ TEST(StreamParity, ClosedLoopThresholdBitIdentical) {
 }
 
 TEST(StreamParity, ClosedLoopProportionalBitIdentical) {
-  const trace::Trace t = trace::generate_synthetic(synth_config(50000, 43), "t");
+  const auto cfg = synth_config(50000, 43);
+  const trace::Trace t = trace::generate_synthetic(cfg, "t");
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
   core::ProportionalRunConfig config;
@@ -269,31 +273,39 @@ TEST(StreamParity, ClosedLoopProportionalBitIdentical) {
 
   const core::DvsRunReport golden =
       core::run_closed_loop_proportional(system, corner, t, config);
-  const auto source = trace::make_trace_view_source(t);
+  const auto source = trace::make_synthetic_source(cfg, "t");
+  core::StreamStats stats;
   const core::DvsRunReport streamed = core::run_closed_loop_proportional_streamed(
-      system, corner, *source, config, core::StreamConfig{kOddBlock});
+      system, corner, *source, config, core::StreamConfig{kOddBlock}, &stats);
   expect_report_eq(golden, streamed);
+  EXPECT_EQ(stats.cycles, t.words.size());
+  EXPECT_EQ(stats.peak_buffer_words, kOddBlock);
 }
 
 TEST(StreamParity, FixedVsBitIdenticalWithJitter) {
-  const trace::Trace t = trace::generate_synthetic(synth_config(30000, 44), "t");
+  const auto cfg = synth_config(30000, 44);
+  const trace::Trace t = trace::generate_synthetic(cfg, "t");
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
   const double jitter = 3e-12;
 
   const core::DvsRunReport golden =
       core::run_fixed_vs(system, corner, t, bus::EngineMode::bit_parallel, jitter);
-  const auto source = trace::make_trace_view_source(t);
+  const auto source = trace::make_synthetic_source(cfg, "t");
+  core::StreamStats stats;
   const core::DvsRunReport streamed = core::run_fixed_vs_streamed(
       system, corner, *source, bus::EngineMode::bit_parallel, jitter,
-      core::StreamConfig{kOddBlock});
+      core::StreamConfig{kOddBlock}, &stats);
   expect_report_eq(golden, streamed);
+  EXPECT_EQ(stats.cycles, t.words.size());
+  EXPECT_EQ(stats.peak_buffer_words, kOddBlock);
 }
 
 TEST(StreamParity, ConsecutiveRunBitIdentical) {
-  const std::vector<trace::Trace> traces = {
-      trace::generate_synthetic(synth_config(25000, 45), "a"),
-      trace::generate_synthetic(synth_config(31000, 46), "b")};
+  const std::vector<trace::SyntheticConfig> cfgs = {synth_config(25000, 45),
+                                                    synth_config(31000, 46)};
+  const std::vector<trace::Trace> traces = {trace::generate_synthetic(cfgs[0], "a"),
+                                            trace::generate_synthetic(cfgs[1], "b")};
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
   core::DvsRunConfig config = parity_config();
@@ -302,9 +314,13 @@ TEST(StreamParity, ConsecutiveRunBitIdentical) {
   const core::ConsecutiveRunReport golden =
       core::run_consecutive(system, corner, traces, config);
   std::vector<std::unique_ptr<trace::TraceSource>> sources;
-  for (const auto& t : traces) sources.push_back(trace::make_trace_view_source(t));
+  sources.push_back(trace::make_synthetic_source(cfgs[0], "a"));
+  sources.push_back(trace::make_synthetic_source(cfgs[1], "b"));
+  core::StreamStats stats;
   const core::ConsecutiveRunReport streamed = core::run_consecutive_streamed(
-      system, corner, sources, config, core::StreamConfig{kOddBlock});
+      system, corner, sources, config, core::StreamConfig{kOddBlock}, &stats);
+  EXPECT_EQ(stats.cycles, traces[0].words.size() + traces[1].words.size());
+  EXPECT_EQ(stats.peak_buffer_words, kOddBlock);
 
   ASSERT_EQ(golden.per_trace.size(), streamed.per_trace.size());
   for (std::size_t i = 0; i < golden.per_trace.size(); ++i)
@@ -318,9 +334,10 @@ TEST(StreamParity, ConsecutiveRunBitIdentical) {
 }
 
 TEST(StreamParity, StaticSweepBitIdentical) {
-  const std::vector<trace::Trace> traces = {
-      trace::generate_synthetic(synth_config(12000, 47), "a"),
-      trace::generate_synthetic(synth_config(9000, 48), "b")};
+  const std::vector<trace::SyntheticConfig> cfgs = {synth_config(12000, 47),
+                                                    synth_config(9000, 48)};
+  const std::vector<trace::Trace> traces = {trace::generate_synthetic(cfgs[0], "a"),
+                                            trace::generate_synthetic(cfgs[1], "b")};
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
 
@@ -329,7 +346,8 @@ TEST(StreamParity, StaticSweepBitIdentical) {
   // The materialized sweep runs the traces back to back through one
   // simulator, so the streamed equivalent is their concatenation.
   std::vector<std::unique_ptr<trace::TraceSource>> parts;
-  for (const auto& t : traces) parts.push_back(trace::make_trace_view_source(t));
+  parts.push_back(trace::make_synthetic_source(cfgs[0], "a"));
+  parts.push_back(trace::make_synthetic_source(cfgs[1], "b"));
   const auto source = trace::concatenate_sources(std::move(parts), "ab");
   core::StreamStats stats;
   const core::StaticSweepResult streamed = core::static_voltage_sweep_streamed(
@@ -350,18 +368,21 @@ TEST(StreamParity, StaticSweepBitIdentical) {
   // Every supply shard drained its own clone of the whole stream.
   const std::size_t total = traces[0].words.size() + traces[1].words.size();
   EXPECT_EQ(stats.cycles, golden.points.size() * total);
+  EXPECT_EQ(stats.peak_buffer_words, kOddBlock);
 }
 
 TEST(StreamParity, SuiteDriversBitIdentical) {
-  const std::vector<trace::Trace> traces = {
-      trace::generate_synthetic(synth_config(22000, 49), "a"),
-      trace::generate_synthetic(synth_config(18000, 50), "b")};
+  const std::vector<trace::SyntheticConfig> cfgs = {synth_config(22000, 49),
+                                                    synth_config(18000, 50)};
+  const std::vector<trace::Trace> traces = {trace::generate_synthetic(cfgs[0], "a"),
+                                            trace::generate_synthetic(cfgs[1], "b")};
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
   const core::DvsRunConfig config = parity_config();
 
   std::vector<std::unique_ptr<trace::TraceSource>> sources;
-  for (const auto& t : traces) sources.push_back(trace::make_trace_view_source(t));
+  sources.push_back(trace::make_synthetic_source(cfgs[0], "a"));
+  sources.push_back(trace::make_synthetic_source(cfgs[1], "b"));
 
   const auto golden_cl = core::run_closed_loop_suite(system, corner, traces, config);
   const auto streamed_cl = core::run_closed_loop_suite_streamed(
@@ -380,7 +401,8 @@ TEST(StreamParity, SuiteDriversBitIdentical) {
 }
 
 TEST(StreamParity, PvtSamplingBitIdentical) {
-  const trace::Trace t = trace::generate_synthetic(synth_config(20000, 51), "t");
+  const auto cfg = synth_config(20000, 51);
+  const trace::Trace t = trace::generate_synthetic(cfg, "t");
   // Monte-Carlo corners span both characterised temperatures and all three
   // process corners: needs the full paper characterization (disk-cached).
   const auto& system = test_support::paper_system();
@@ -389,9 +411,12 @@ TEST(StreamParity, PvtSamplingBitIdentical) {
   config.run = parity_config();
 
   const core::PvtSampleResult golden = core::pvt_sample_gains(system, t, config);
-  const auto source = trace::make_trace_view_source(t);
+  const auto source = trace::make_synthetic_source(cfg, "t");
+  core::StreamStats stats;
   const core::PvtSampleResult streamed = core::pvt_sample_gains_streamed(
-      system, *source, config, core::StreamConfig{kOddBlock});
+      system, *source, config, core::StreamConfig{kOddBlock}, &stats);
+  EXPECT_EQ(stats.cycles, static_cast<std::size_t>(config.samples) * t.words.size());
+  EXPECT_EQ(stats.peak_buffer_words, kOddBlock);
 
   ASSERT_EQ(golden.samples.size(), streamed.samples.size());
   for (std::size_t i = 0; i < golden.samples.size(); ++i) {
@@ -444,4 +469,61 @@ TEST(StreamAccounting, TraceMemoryIsBlockBounded) {
   EXPECT_EQ(stats.peak_buffer_words, block);
   EXPECT_GE(stats.blocks, cycles / block);
   EXPECT_EQ(stats.block_cycles, block);
+}
+
+// Resident sources (make_trace_source / make_trace_view_source, and
+// concatenations of them) are what every Trace-taking driver runs on, so
+// they must cost no copy: the reader's spans alias the trace's own vector
+// and no buffer is allocated. Their StreamStats are the buffered path's
+// blocks and cycles (one pull per block_cycles words) with
+// peak_buffer_words 0.
+TEST(StreamAccounting, ResidentSourcesAreServedWithoutCopying) {
+  const std::size_t block = 4096;
+  const auto cfg = synth_config(10000, 54);
+  const trace::Trace t = trace::generate_synthetic(cfg, "t");
+  const auto u = std::make_shared<const trace::Trace>(
+      trace::generate_synthetic(synth_config(5000, 55), "u"));
+
+  std::vector<std::unique_ptr<trace::TraceSource>> parts;
+  parts.push_back(trace::make_trace_view_source(t));
+  parts.push_back(trace::make_trace_source(u));
+  const auto joined = trace::concatenate_sources(std::move(parts), "tu");
+  trace::BlockReader reader(*joined, block);
+  std::size_t pos = 0;
+  for (std::size_t n; (n = reader.available()) > 0;) {
+    const std::size_t count = std::min<std::size_t>(n, 999);
+    const BusWord* words = reader.take(count);
+    const BusWord* expected = pos < t.words.size()
+                                  ? t.words.data() + pos
+                                  : u->words.data() + (pos - t.words.size());
+    EXPECT_EQ(words, expected) << "word " << pos;
+    pos += count;
+  }
+  EXPECT_EQ(pos, t.words.size() + u->words.size());
+  trace::StreamStats resident;
+  reader.account(&resident);
+  EXPECT_EQ(resident.block_cycles, block);
+  EXPECT_EQ(resident.blocks, 5u);  // 4096 + 4096 + 1808 of t, 4096 + 904 of u
+  EXPECT_EQ(resident.cycles, 15000u);
+  EXPECT_EQ(resident.peak_buffer_words, 0u);
+
+  // A driver over a resident view: same blocks and cycles as the lazy
+  // producer of the same words, no buffer, and the same report.
+  const auto& system = small_system();
+  const auto corner = tech::typical_corner();
+  core::StreamStats view_stats;
+  const core::DvsRunReport on_view = core::run_closed_loop_streamed(
+      system, corner, *trace::make_trace_view_source(t), parity_config(),
+      core::StreamConfig{block}, &view_stats);
+  core::StreamStats lazy_stats;
+  const core::DvsRunReport on_lazy = core::run_closed_loop_streamed(
+      system, corner, *trace::make_synthetic_source(cfg, "t"), parity_config(),
+      core::StreamConfig{block}, &lazy_stats);
+  expect_report_eq(on_view, on_lazy);
+  EXPECT_EQ(view_stats.blocks, 3u);
+  EXPECT_EQ(view_stats.cycles, 10000u);
+  EXPECT_EQ(view_stats.peak_buffer_words, 0u);
+  EXPECT_EQ(lazy_stats.blocks, view_stats.blocks);
+  EXPECT_EQ(lazy_stats.cycles, view_stats.cycles);
+  EXPECT_EQ(lazy_stats.peak_buffer_words, block);
 }

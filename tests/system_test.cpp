@@ -73,12 +73,7 @@ sys::SystemRunConfig system_config(
     const core::DvsRunConfig& single,
     dvs::ArbitrationPolicy policy = dvs::ArbitrationPolicy::max_error) {
   sys::SystemRunConfig config;
-  config.controller = single.controller;
-  config.regulator_delay_cycles = single.regulator_delay_cycles;
-  config.start_supply = single.start_supply;
-  config.timing_jitter_sigma = single.timing_jitter_sigma;
-  config.record_series = single.record_series;
-  config.engine = single.engine;
+  config.run = single;
   config.arbitration = policy;
   return config;
 }
@@ -341,7 +336,7 @@ TEST(MultiBus, ThreeBusMixedWidthGoldenStreamedEqualsMaterialized) {
   // Structural invariants of the shared rail.
   ASSERT_EQ(a.per_bus.size(), 3u);
   EXPECT_EQ(a.cycles, kCycles);
-  EXPECT_EQ(a.windows, kCycles / cfg.controller.window_cycles);
+  EXPECT_EQ(a.windows, kCycles / cfg.run.controller.window_cycles);
   EXPECT_EQ(a.series.size(), a.windows);
   double max_floor = 0.0;
   for (const auto& lane : lanes)

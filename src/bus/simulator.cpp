@@ -573,42 +573,12 @@ RunningTotals BusSimulator::run(const BusWord* words, std::size_t n) {
   } else {
     run_bit_parallel(words, n);
   }
-  RunningTotals delta;
-  delta.cycles = totals_.cycles - before.cycles;
-  delta.errors = totals_.errors - before.errors;
-  delta.shadow_failures = totals_.shadow_failures - before.shadow_failures;
-  delta.bus_energy = totals_.bus_energy - before.bus_energy;
-  delta.overhead_energy = totals_.overhead_energy - before.overhead_energy;
-  return delta;
+  return totals_.since(before);
 }
 
 RunningTotals BusSimulator::run(const std::uint32_t* words, std::size_t n) {
   const std::vector<BusWord> wide(words, words + n);
   return run(wide.data(), wide.size());
-}
-
-RunningTotals BusSimulator::run(trace::TraceSource& source, std::size_t block_cycles) {
-  if (block_cycles == 0)
-    throw std::invalid_argument("BusSimulator::run: block_cycles must be > 0");
-  if (source.n_bits() > design_.n_bits)
-    throw std::invalid_argument("BusSimulator::run: stream '" + source.name() +
-                                "' is " + std::to_string(source.n_bits()) +
-                                " bits wide but the bus has " +
-                                std::to_string(design_.n_bits) + " wires");
-  const RunningTotals before = totals_;
-  std::vector<BusWord> buffer(block_cycles);
-  for (;;) {
-    const std::size_t n = source.next_block(buffer.data(), buffer.size());
-    if (n == 0) break;
-    run(buffer.data(), n);
-  }
-  RunningTotals delta;
-  delta.cycles = totals_.cycles - before.cycles;
-  delta.errors = totals_.errors - before.errors;
-  delta.shadow_failures = totals_.shadow_failures - before.shadow_failures;
-  delta.bus_energy = totals_.bus_energy - before.bus_energy;
-  delta.overhead_energy = totals_.overhead_energy - before.overhead_energy;
-  return delta;
 }
 
 void BusSimulator::reset(const BusWord& initial_word) {
@@ -966,22 +936,6 @@ void MultiPointEngine::mixed_cycle(const BusWord& word, double jitter) {
   }
 }
 
-void MultiPointEngine::run(trace::TraceSource& source, std::size_t block_cycles) {
-  if (block_cycles == 0)
-    throw std::invalid_argument("MultiPointEngine::run: block_cycles must be > 0");
-  if (source.n_bits() > design_.n_bits)
-    throw std::invalid_argument("MultiPointEngine::run: stream '" + source.name() +
-                                "' is " + std::to_string(source.n_bits()) +
-                                " bits wide but the bus has " +
-                                std::to_string(design_.n_bits) + " wires");
-  std::vector<BusWord> buffer(block_cycles);
-  for (;;) {
-    const std::size_t n = source.next_block(buffer.data(), buffer.size());
-    if (n == 0) break;
-    run(buffer.data(), n);
-  }
-}
-
 RunningTotals MultiPointEngine::totals(std::size_t point) const {
   RunningTotals t;
   t.cycles = cycles_;
@@ -1014,17 +968,6 @@ std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design
                                            const std::vector<BusWord>& words,
                                            const MultiPointConfig& config) {
   return multi_point_run(design, table, points, words.data(), words.size(), config);
-}
-
-std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design,
-                                           const lut::DelayEnergyTable& table,
-                                           const std::vector<OperatingPoint>& points,
-                                           trace::TraceSource& source,
-                                           const MultiPointConfig& config,
-                                           std::size_t block_cycles) {
-  MultiPointEngine engine(design, table, points, config);
-  engine.run(source, block_cycles);
-  return engine.all_totals();
 }
 
 }  // namespace razorbus::bus

@@ -56,7 +56,6 @@
 #include "razor/bank.hpp"
 #include "tech/corner.hpp"
 #include "tech/leakage.hpp"
-#include "trace/source.hpp"
 #include "util/busword.hpp"
 #include "util/rng.hpp"
 
@@ -132,6 +131,12 @@ struct RunningTotals {
   double error_rate() const {
     return cycles ? static_cast<double>(errors) / static_cast<double>(cycles) : 0.0;
   }
+  // What accumulated after `before` was taken (fieldwise difference).
+  RunningTotals since(const RunningTotals& before) const {
+    return {cycles - before.cycles, errors - before.errors,
+            shadow_failures - before.shadow_failures, bus_energy - before.bus_energy,
+            overhead_energy - before.overhead_energy};
+  }
 };
 
 class BusSimulator {
@@ -188,14 +193,6 @@ class BusSimulator {
   RunningTotals run(const std::vector<std::uint32_t>& words) {
     return run(words.data(), words.size());
   }
-  // Drain a streaming trace (DESIGN.md §12) through a fixed block buffer
-  // of `block_cycles` words: resident trace memory stays O(block) no
-  // matter how long the stream runs, and because run() accumulates totals
-  // with the same per-cycle operation sequence at any span split, the
-  // result is bit-identical to one run() over the materialized words.
-  // Rejects streams wider than the bus (the high lanes would be dropped).
-  RunningTotals run(trace::TraceSource& source,
-                    std::size_t block_cycles = trace::kDefaultBlockCycles);
 
   // Reset bus/flop state and totals (keeps the operating point and mode).
   void reset(const BusWord& initial_word = BusWord());
@@ -351,10 +348,6 @@ class MultiPointEngine {
   // with bit-identical totals, same contract as BusSimulator::run.
   void run(const BusWord* words, std::size_t n);
   void run(const std::vector<BusWord>& words) { run(words.data(), words.size()); }
-  // Drain a streaming trace through a fixed block buffer (same width
-  // check and block semantics as BusSimulator::run(TraceSource&)).
-  void run(trace::TraceSource& source,
-           std::size_t block_cycles = trace::kDefaultBlockCycles);
 
   // Totals of one point (cycles are shared: every point saw every cycle).
   RunningTotals totals(std::size_t point) const;
@@ -430,10 +423,5 @@ std::vector<RunningTotals> multi_point_run(const interconnect::BusDesign& design
                                            const std::vector<OperatingPoint>& points,
                                            const std::vector<BusWord>& words,
                                            const MultiPointConfig& config = {});
-std::vector<RunningTotals> multi_point_run(
-    const interconnect::BusDesign& design, const lut::DelayEnergyTable& table,
-    const std::vector<OperatingPoint>& points, trace::TraceSource& source,
-    const MultiPointConfig& config = {},
-    std::size_t block_cycles = trace::kDefaultBlockCycles);
 
 }  // namespace razorbus::bus

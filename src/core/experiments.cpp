@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -33,35 +34,19 @@ std::vector<std::unique_ptr<trace::TraceSource>> view_sources(
   return sources;
 }
 
-struct FeedResult {
-  std::uint64_t cycles = 0;
-  std::uint64_t errors = 0;
-};
-
-// Drive up to `cycles` words from `reader` through `sim` (and the same
-// spans through `baseline`, when given); short only when the stream ends.
-// The closed-loop drivers ask for LOGICAL segments (up to a controller
-// window or a regulator change landing), served across as many reader
-// spans as needed, so span boundaries never move a control decision —
-// that, plus the engine's span-split invariance, makes reports
+// Drain `reader` through `sim` (and the same spans through `baseline`,
+// when given). The engine's span-split invariance makes the totals
 // independent of the block size and of whether the words were resident.
-FeedResult feed(trace::BlockReader& reader, bus::BusSimulator& sim,
-                bus::BusSimulator* baseline, std::uint64_t cycles) {
-  FeedResult out;
-  while (out.cycles < cycles) {
-    const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(reader.available(), cycles - out.cycles));
-    if (n == 0) break;
+void drain(trace::BlockReader& reader, bus::BusSimulator& sim,
+           bus::BusSimulator* baseline) {
+  for (std::size_t n; (n = reader.available()) > 0;) {
     const BusWord* words = reader.take(n);
-    const bus::RunningTotals d = sim.run(words, n);
+    sim.run(words, n);
     if (baseline != nullptr) baseline->run(words, n);
-    out.cycles += d.cycles;
-    out.errors += d.errors;
   }
-  return out;
 }
 
-void feed_all(trace::BlockReader& reader, bus::MultiPointEngine& engine) {
+void drain(trace::BlockReader& reader, bus::MultiPointEngine& engine) {
   for (std::size_t n; (n = reader.available()) > 0;) engine.run(reader.take(n), n);
 }
 
@@ -153,7 +138,7 @@ std::vector<SweepPoint> sweep_points_batched(
     config.timing_jitter_sigma = timing_jitter_sigma;
     bus::MultiPointEngine engine(system.design(), system.table(), points, config);
     trace::BlockReader reader(source, stream.block_cycles);
-    feed_all(reader, engine);
+    drain(reader, engine);
     reader.account(&shard_stats[c]);
     return collect_sweep_points(engine, points);
   });
@@ -163,99 +148,209 @@ std::vector<SweepPoint> sweep_points_batched(
   return points;
 }
 
-// The one threshold closed loop, over consecutive sources with controller
-// and regulator state carried across them. When `baselines` is non-null it
-// holds one precomputed nominal reference energy per source (from a batched
-// MultiPointEngine pass) and the lockstep baseline simulator is skipped.
-ConsecutiveRunReport run_consecutive_impl(
-    const DvsBusSystem& system, const tech::PvtCorner& environment,
-    const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
-    const DvsRunConfig& config, const StreamConfig& stream, StreamStats* stats,
-    const double* baselines) {
-  for (const auto& source : sources) system.check_trace_width(*source);
-  const double vnom = system.design().node.vdd_nominal;
-  const double floor = system.dvs_floor(environment.process);
-  const double start = config.start_supply > 0.0 ? config.start_supply : vnom;
+// The end-of-window decision of a closed loop: the window's fused error
+// count in, the requested supply change out (volts, 0 holds). Both
+// controllers decide only at a window end, from the window's count, so
+// feeding them whole windows decides exactly as feeding segments would.
+struct WindowRule {
+  std::uint64_t window_cycles = 0;
+  double set_point = 0.0;  // error rate the wall-tracking error measures against
+  std::function<double(std::uint64_t)> decide;
+};
 
-  bus::BusSimulator sim = system.make_simulator(environment);
-  sim.set_engine_mode(config.engine);
-  if (config.timing_jitter_sigma > 0.0) sim.set_timing_jitter(config.timing_jitter_sigma);
-  dvs::VoltageRegulator regulator(start, floor, vnom, config.regulator_delay_cycles);
-  dvs::ThresholdController controller(config.controller);
-  sim.set_supply(regulator.voltage());
-
-  ConsecutiveRunReport report;
-  std::uint64_t cycle = 0;
-
-  for (std::size_t source_index = 0; source_index < sources.size(); ++source_index) {
-    const bus::RunningTotals before = sim.totals();
-    double supply_sum = 0.0;
-    std::uint64_t source_cycles = 0;
-    bus::BusSimulator baseline = system.make_baseline_simulator(environment);
-    bus::BusSimulator* baseline_sim = baselines == nullptr ? &baseline : nullptr;
-    trace::BlockReader reader(*sources[source_index], stream.block_cycles);
-
-    // Window-batched closed loop: each logical segment runs at one
-    // regulator voltage and stays within one controller window, so only
-    // the segment's error COUNT feeds the controller — cycle-for-cycle
-    // equivalent to stepping one word at a time through
-    // observe_cycle()/advance(). The end of the trace is discovered, not
-    // planned, so decisions land on the same cycles for any source.
-    while (reader.available() > 0) {
-      sim.set_supply(regulator.advance(cycle));
-      const FeedResult fed =
-          feed(reader, sim, baseline_sim,
-               plan_segment(controller.cycles_remaining_in_window(),
-                            regulator.next_change_cycle(), cycle));
-      supply_sum += sim.supply() * static_cast<double>(fed.cycles);
-      cycle += fed.cycles;
-      source_cycles += fed.cycles;
-
-      const dvs::VoltageDecision decision =
-          controller.observe_segment(fed.cycles, fed.errors);
-      // The decision belongs to the last cycle of the segment (cycle - 1),
-      // exactly when the per-cycle loop would have issued it.
-      if (decision == dvs::VoltageDecision::step_down)
-        regulator.request_change(-config.controller.voltage_step, cycle - 1);
-      else if (decision == dvs::VoltageDecision::step_up)
-        regulator.request_change(+config.controller.voltage_step, cycle - 1);
-
-      if (config.record_series && controller.cycles_remaining_in_window() ==
-                                      config.controller.window_cycles &&
-          controller.windows_completed() > 0)
-        report.series.push_back(
-            {cycle, sim.supply(), controller.last_window_error_rate()});
+WindowRule threshold_rule(const dvs::ControllerConfig& config) {
+  dvs::ThresholdController controller(config);
+  WindowRule rule;
+  rule.window_cycles = config.window_cycles;
+  rule.set_point = 0.5 * (config.low_threshold + config.high_threshold);
+  rule.decide = [controller](std::uint64_t errors) mutable {
+    const dvs::ControllerConfig& c = controller.config();
+    switch (controller.observe_segment(c.window_cycles, errors)) {
+      case dvs::VoltageDecision::step_down: return -c.voltage_step;
+      case dvs::VoltageDecision::step_up: return +c.voltage_step;
+      case dvs::VoltageDecision::hold: break;
     }
-    reader.account(stats);
+    return 0.0;
+  };
+  return rule;
+}
 
-    DvsRunReport r;
-    r.totals.cycles = sim.totals().cycles - before.cycles;
-    r.totals.errors = sim.totals().errors - before.errors;
-    r.totals.shadow_failures = sim.totals().shadow_failures - before.shadow_failures;
-    r.totals.bus_energy = sim.totals().bus_energy - before.bus_energy;
-    r.totals.overhead_energy = sim.totals().overhead_energy - before.overhead_energy;
-    r.floor_supply = floor;
-    r.average_supply = source_cycles == 0
-                           ? sim.supply()
-                           : supply_sum / static_cast<double>(source_cycles);
-    r.baseline_bus_energy = baselines != nullptr ? baselines[source_index]
-                                                 : baseline.totals().bus_energy;
-    report.per_trace.push_back(std::move(r));
+WindowRule proportional_rule(const dvs::ProportionalConfig& config) {
+  dvs::ProportionalController controller(config);
+  WindowRule rule;
+  rule.window_cycles = config.window_cycles;
+  rule.set_point = config.target_error_rate;
+  rule.decide = [controller](std::uint64_t errors) mutable {
+    return controller.observe_segment(controller.config().window_cycles, errors);
+  };
+  return rule;
+}
+
+// The one closed loop (run_lockstep_loop's contract). When `baselines` is
+// non-null it holds one precomputed nominal reference energy per source
+// (from a batched MultiPointEngine pass) and the lockstep baselines are
+// skipped.
+LoopReport lockstep_loop(const std::vector<LoopLane>& lanes,
+                         const tech::PvtCorner& environment,
+                         const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
+                         const LoopConfig& config, WindowRule rule,
+                         const StreamConfig& stream, StreamStats* stats,
+                         const double* baselines) {
+  const std::size_t n_lanes = lanes.size();
+  if (n_lanes == 0 || sources.size() % n_lanes != 0)
+    throw std::invalid_argument("closed loop: need one source per lane for each leg");
+  for (std::size_t i = 0; i < sources.size(); ++i)
+    lanes[i % n_lanes].system->check_trace_width(*sources[i]);
+
+  const DvsRunConfig& run = config.run;
+  const double vnom = lanes.front().system->design().node.vdd_nominal;
+  double floor = 0.0;
+  std::vector<double> weights;
+  std::vector<bus::BusSimulator> sims;
+  for (const LoopLane& lane : lanes) {
+    floor = std::max(floor, lane.system->dvs_floor(environment.process));
+    weights.push_back(lane.weight);
+    sims.push_back(lane.system->make_simulator(environment));
+    sims.back().set_engine_mode(run.engine);
+    if (run.timing_jitter_sigma > 0.0)
+      sims.back().set_timing_jitter(run.timing_jitter_sigma);
   }
+  const double start = run.start_supply > 0.0 ? run.start_supply : vnom;
+  dvs::VoltageRegulator regulator(start, floor, vnom, run.regulator_delay_cycles);
+  for (auto& sim : sims) sim.set_supply(regulator.voltage());
+
+  LoopReport report;
+  report.floor_supply = floor;
+  std::uint64_t cycle = 0;
+  std::uint64_t remaining_window = rule.window_cycles;
+  std::vector<std::uint64_t> window_errors(n_lanes, 0);
+  double supply_sum = 0.0;
+  double track_sum = 0.0;
+  tech::PvtCorner current = environment;
+  std::vector<bus::BusSimulator> nominal;  // the current leg's lockstep baselines
+
+  // Re-derive the drift corner for the window starting at `at_cycle` and
+  // push it into every lane and its lockstep baseline. Disabled schedules
+  // never reach a set_environment call, which is what keeps zero-drift
+  // runs byte-identical to static-corner runs.
+  const auto apply_drift = [&](std::uint64_t at_cycle) {
+    if (!config.drift.enabled()) return;
+    const tech::PvtCorner next = config.drift.corner_at(
+        environment, at_cycle, vnom, lanes.front().system->table().temps());
+    if (next == current) return;
+    current = next;
+    ++report.env_updates;
+    for (auto& sim : sims) sim.set_environment(next);
+    for (auto& baseline : nominal) baseline.set_environment(next);
+  };
+  apply_drift(0);
+
+  for (std::size_t leg = 0; leg < sources.size(); leg += n_lanes) {
+    std::vector<trace::BlockReader> readers;
+    std::vector<bus::RunningTotals> before;
+    nominal.clear();
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+      readers.emplace_back(*sources[leg + l], stream.block_cycles);
+      before.push_back(sims[l].totals());
+      if (baselines != nullptr) continue;
+      nominal.push_back(lanes[l].system->make_baseline_simulator(environment));
+      if (current != environment) nominal.back().set_environment(current);
+    }
+    double leg_supply_sum = 0.0;
+    std::uint64_t leg_cycles = 0;
+
+    // Each logical segment runs at one regulator voltage inside one
+    // controller window, served across as many reader spans as needed and
+    // lockstep on every lane. The end of a leg is discovered, not planned,
+    // so decisions land on the same cycles for any source and block size.
+    for (;;) {
+      bool more = true;
+      for (auto& reader : readers) more = reader.available() > 0 && more;
+      if (!more) break;
+
+      const double supply = regulator.advance(cycle);
+      for (auto& sim : sims) sim.set_supply(supply);
+      const std::uint64_t planned =
+          plan_segment(remaining_window, regulator.next_change_cycle(), cycle);
+      std::uint64_t served = 0;
+      while (served < planned) {
+        std::size_t avail = std::numeric_limits<std::size_t>::max();
+        for (auto& reader : readers) avail = std::min(avail, reader.available());
+        if (avail == 0) break;
+        const auto chunk =
+            static_cast<std::size_t>(std::min<std::uint64_t>(planned - served, avail));
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+          const BusWord* words = readers[l].take(chunk);
+          window_errors[l] += sims[l].run(words, chunk).errors;
+          if (baselines == nullptr) nominal[l].run(words, chunk);
+        }
+        served += chunk;
+      }
+      const double served_supply = sims.front().supply() * static_cast<double>(served);
+      supply_sum += served_supply;
+      leg_supply_sum += served_supply;
+      cycle += served;
+      leg_cycles += served;
+      remaining_window -= served;
+      if (remaining_window > 0) continue;
+
+      // A fused count can exceed the window (sum_error, or weights above
+      // 1); any rate above the band steps up, so saturating it decides the
+      // same. One lane never reaches the cap.
+      const std::uint64_t fused = std::min(
+          rule.window_cycles,
+          dvs::fuse_window_errors(config.arbitration, window_errors, weights));
+      const double delta = rule.decide(fused);
+      // razorlint: allow(float-eq): the rules return literal 0.0 for "hold";
+      // any nonzero delta, however tiny, is a real request. The decision
+      // belongs to the window's last cycle (cycle - 1).
+      if (delta != 0.0) regulator.request_change(delta, cycle - 1);
+
+      const double rate =
+          static_cast<double>(fused) / static_cast<double>(rule.window_cycles);
+      track_sum += std::abs(rate - rule.set_point);
+      ++report.windows;
+      if (run.record_series)
+        report.series.push_back({cycle, sims.front().supply(), rate});
+      std::fill(window_errors.begin(), window_errors.end(), 0);
+      remaining_window = rule.window_cycles;
+      apply_drift(cycle);
+    }
+    for (const auto& reader : readers) reader.account(stats);
+
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+      DvsRunReport r;
+      r.totals = sims[l].totals().since(before[l]);
+      r.floor_supply = floor;
+      r.average_supply = leg_cycles == 0
+                             ? sims.front().supply()
+                             : leg_supply_sum / static_cast<double>(leg_cycles);
+      r.baseline_bus_energy =
+          baselines != nullptr ? baselines[leg + l] : nominal[l].totals().bus_energy;
+      report.per_bus.push_back(std::move(r));
+    }
+  }
+
+  report.cycles = cycle;
+  report.average_supply =
+      cycle == 0 ? sims.front().supply() : supply_sum / static_cast<double>(cycle);
+  report.wall_tracking_error =
+      report.windows == 0 ? 0.0 : track_sum / static_cast<double>(report.windows);
   return report;
 }
 
-// One source through run_consecutive_impl, series folded into the report.
-DvsRunReport run_closed_loop_impl(const DvsBusSystem& system,
-                                  const tech::PvtCorner& environment,
-                                  const trace::TraceSource& source,
-                                  const DvsRunConfig& config, const StreamConfig& stream,
-                                  StreamStats* stats, const double* baseline) {
+// One lane, one leg: the single-bus closed loop, series folded into the
+// report.
+DvsRunReport single_bus_loop(const DvsBusSystem& system,
+                             const tech::PvtCorner& environment,
+                             const trace::TraceSource& source, const LoopConfig& config,
+                             WindowRule rule, const StreamConfig& stream,
+                             StreamStats* stats, const double* baseline = nullptr) {
   std::vector<std::unique_ptr<trace::TraceSource>> one;
   one.push_back(source.clone());
-  ConsecutiveRunReport r =
-      run_consecutive_impl(system, environment, one, config, stream, stats, baseline);
-  DvsRunReport out = std::move(r.per_trace.front());
+  LoopReport r = lockstep_loop({LoopLane{&system}}, environment, one, config,
+                               std::move(rule), stream, stats, baseline);
+  DvsRunReport out = std::move(r.per_bus.front());
   out.series = std::move(r.series);
   return out;
 }
@@ -416,7 +511,7 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
           if (timing_jitter_sigma > 0.0) sim.set_timing_jitter(timing_jitter_sigma);
           sim.set_supply(v);
           trace::BlockReader reader(source, stream.block_cycles);
-          feed(reader, sim, nullptr, std::numeric_limits<std::uint64_t>::max());
+          drain(reader, sim, nullptr);
           reader.account(&shard_stats[s]);
 
           SweepPoint p;
@@ -438,12 +533,21 @@ StaticSweepResult static_voltage_sweep_streamed(const DvsBusSystem& system,
   return result;
 }
 
+LoopReport run_lockstep_loop(
+    const std::vector<LoopLane>& lanes, const tech::PvtCorner& environment,
+    const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
+    const LoopConfig& config, const StreamConfig& stream, StreamStats* stats) {
+  return lockstep_loop(lanes, environment, sources, config,
+                       threshold_rule(config.run.controller), stream, stats, nullptr);
+}
+
 ConsecutiveRunReport run_consecutive_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
     const DvsRunConfig& config, const StreamConfig& stream, StreamStats* stats) {
-  return run_consecutive_impl(system, environment, sources, config, stream, stats,
-                              nullptr);
+  LoopReport r = run_lockstep_loop({LoopLane{&system}}, environment, sources,
+                                   LoopConfig{config}, stream, stats);
+  return {std::move(r.per_bus), std::move(r.series)};
 }
 
 DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
@@ -451,8 +555,8 @@ DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const trace::TraceSource& source,
                                       const DvsRunConfig& config,
                                       const StreamConfig& stream, StreamStats* stats) {
-  return run_closed_loop_impl(system, environment, source, config, stream, stats,
-                              nullptr);
+  return single_bus_loop(system, environment, source, LoopConfig{config},
+                         threshold_rule(config.controller), stream, stats);
 }
 
 DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
@@ -461,45 +565,13 @@ DvsRunReport run_closed_loop_proportional_streamed(const DvsBusSystem& system,
                                                    const ProportionalRunConfig& config,
                                                    const StreamConfig& stream,
                                                    StreamStats* stats) {
-  system.check_trace_width(source);
-  const double vnom = system.design().node.vdd_nominal;
-  const double floor = system.dvs_floor(environment.process);
-  const double start = config.start_supply > 0.0 ? config.start_supply : vnom;
-
-  bus::BusSimulator sim = system.make_simulator(environment);
-  sim.set_engine_mode(config.engine);
-  if (config.timing_jitter_sigma > 0.0) sim.set_timing_jitter(config.timing_jitter_sigma);
-  dvs::VoltageRegulator regulator(start, floor, vnom, config.regulator_delay_cycles);
-  dvs::ProportionalController controller(config.controller);
-  sim.set_supply(regulator.voltage());
-
-  bus::BusSimulator baseline = system.make_baseline_simulator(environment);
-  trace::BlockReader reader(source, stream.block_cycles);
-  double supply_sum = 0.0;
-  std::uint64_t cycle = 0;
-  while (reader.available() > 0) {
-    sim.set_supply(regulator.advance(cycle));
-    const FeedResult fed =
-        feed(reader, sim, &baseline,
-             plan_segment(controller.cycles_remaining_in_window(),
-                          regulator.next_change_cycle(), cycle));
-    supply_sum += sim.supply() * static_cast<double>(fed.cycles);
-    cycle += fed.cycles;
-
-    const double delta = controller.observe_segment(fed.cycles, fed.errors);
-    // razorlint: allow(float-eq): the controller returns literal 0.0 for
-    // "no step"; any nonzero delta, however tiny, is a real request.
-    if (delta != 0.0) regulator.request_change(delta, cycle - 1);
-  }
-  reader.account(stats);
-
-  DvsRunReport report;
-  report.totals = sim.totals();
-  report.floor_supply = floor;
-  report.average_supply =
-      cycle == 0 ? sim.supply() : supply_sum / static_cast<double>(cycle);
-  report.baseline_bus_energy = baseline.totals().bus_energy;
-  return report;
+  LoopConfig loop;
+  loop.run.regulator_delay_cycles = config.regulator_delay_cycles;
+  loop.run.start_supply = config.start_supply;
+  loop.run.timing_jitter_sigma = config.timing_jitter_sigma;
+  loop.run.engine = config.engine;
+  return single_bus_loop(system, environment, source, loop,
+                         proportional_rule(config.controller), stream, stats);
 }
 
 DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
@@ -522,7 +594,7 @@ DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
 
   bus::BusSimulator baseline = system.make_baseline_simulator(environment);
   trace::BlockReader reader(source, stream.block_cycles);
-  feed(reader, sim, &baseline, std::numeric_limits<std::uint64_t>::max());
+  drain(reader, sim, &baseline);
   reader.account(stats);
 
   DvsRunReport report;
@@ -591,14 +663,15 @@ PvtSampleResult pvt_sample_gains_streamed(const DvsBusSystem& system,
     for (std::size_t s = 0; s < n; ++s) points[s] = {vnom, corners[s]};
     bus::MultiPointEngine baseline_engine(system.design(), system.table(), points);
     trace::BlockReader reader(source, stream.block_cycles);
-    feed_all(reader, baseline_engine);
+    drain(reader, baseline_engine);
     reader.account(stats);
 
     out.samples = util::parallel_map(util::global_pool(), n, [&](std::size_t s) {
       const double baseline = baseline_engine.totals(s).bus_energy;
       return PvtSample{corners[s],
-                       run_closed_loop_impl(system, corners[s], source, config.run,
-                                            stream, &shard_stats[s], &baseline)};
+                       single_bus_loop(system, corners[s], source, LoopConfig{config.run},
+                                       threshold_rule(config.run.controller), stream,
+                                       &shard_stats[s], &baseline)};
     });
   } else {
     out.samples = util::parallel_map(util::global_pool(), n, [&](std::size_t s) {

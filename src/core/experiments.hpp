@@ -14,6 +14,13 @@
 //     resident words as a source (trace::make_trace_view_source), which the
 //     reader serves zero-copy, and runs the same body.
 //
+// Every closed loop — single-bus threshold, proportional, consecutive,
+// PVT-sampled, and sys::BusSystem's N buses — is one call to
+// run_lockstep_loop: N lanes in lockstep on one regulator, per-lane window
+// error counts fused by the arbitration policy into one controller input
+// per window, and an optional drift schedule. A single-bus run is its
+// one-lane case, so the N=1 parity of sys::BusSystem holds by construction.
+//
 // A report therefore depends only on the word sequence — never on the
 // block size or on whether the words were resident (same integer counts,
 // exactly equal energy/supply doubles; tests/stream_test.cpp compares a
@@ -34,6 +41,8 @@
 #include <vector>
 
 #include "core/system.hpp"
+#include "drift/schedule.hpp"
+#include "dvs/arbitration.hpp"
 #include "dvs/controller.hpp"
 #include "dvs/proportional.hpp"
 #include "trace/source.hpp"
@@ -167,17 +176,88 @@ struct DvsRunReport {
   double error_rate() const { return totals.error_rate(); }
 };
 
+// ------------------------------------------------------- the closed loop
+// One bus of a lockstep closed loop. `system` is non-owning and must
+// outlive the run; `weight` is read by the `weighted` arbitration policy.
+struct LoopLane {
+  const DvsBusSystem* system = nullptr;
+  double weight = 1.0;
+};
+
+// The threshold run config plus the multi-lane knobs (sys::SystemRunConfig).
+struct LoopConfig {
+  DvsRunConfig run{};
+  dvs::ArbitrationPolicy arbitration = dvs::ArbitrationPolicy::max_error;
+  drift::Schedule drift{};  // default-constructed = disabled
+};
+
+struct LoopReport {
+  // One report per source, in source order. A lane's report at N=1 is the
+  // single-bus driver's DvsRunReport (series lives below instead).
+  std::vector<DvsRunReport> per_bus;
+  // One series for the whole run: the shared supply and the FUSED window
+  // error rate at each completed window boundary.
+  std::vector<WindowSample> series;
+  std::uint64_t cycles = 0;   // lockstep cycles executed (per lane)
+  std::uint64_t windows = 0;  // completed controller windows
+  double floor_supply = 0.0;
+  double average_supply = 0.0;  // cycle-weighted shared supply
+  // Wall-tracking error of the controller: mean |fused window error rate
+  // - band midpoint| over completed windows — how tightly the shared
+  // loop holds the paper's [low, high] band under arbitration and drift.
+  double wall_tracking_error = 0.0;
+  std::uint64_t env_updates = 0;  // drift corner changes actually applied
+
+  double total_energy() const {
+    double e = 0.0;
+    for (const auto& r : per_bus) e += r.totals.total_energy();
+    return e;
+  }
+  double baseline_bus_energy() const {
+    double e = 0.0;
+    for (const auto& r : per_bus) e += r.baseline_bus_energy;
+    return e;
+  }
+  double energy_gain() const {
+    const double base = baseline_bus_energy();
+    return base > 0.0 ? 1.0 - total_energy() / base : 0.0;
+  }
+  double error_rate() const {
+    std::uint64_t cyc = 0, err = 0;
+    for (const auto& r : per_bus) {
+      cyc += r.totals.cycles;
+      err += r.totals.errors;
+    }
+    return cyc ? static_cast<double>(err) / static_cast<double>(cyc) : 0.0;
+  }
+};
+
+// The one closed loop, with the paper's threshold controller. `sources`
+// holds one source per lane for each leg, leg-major; the legs run back to
+// back with regulator, controller and window state carried across, each
+// against fresh nominal baselines, and per_bus reports them in the same
+// order. The lanes share one regulator whose floor is the highest lane
+// dvs_floor; a leg ends when its shortest source does. Segments end at
+// window ends and regulator change landings, never at block boundaries.
+// At each window end the per-lane error counts are fused by
+// `config.arbitration`, saturated at the window length, and fed to the
+// controller; an enabled `config.drift` then re-derives the corner of every
+// lane and baseline. Throws std::invalid_argument when `lanes` is empty or
+// `sources` does not fill whole legs, and on a source wider than its lane.
+LoopReport run_lockstep_loop(
+    const std::vector<LoopLane>& lanes, const tech::PvtCorner& environment,
+    const std::vector<std::unique_ptr<trace::TraceSource>>& sources,
+    const LoopConfig& config = {}, const StreamConfig& stream = {},
+    StreamStats* stats = nullptr);
+
 // Closed-loop DVS over one trace (controller + ramping regulator).
 DvsRunReport run_closed_loop(const DvsBusSystem& system,
                              const tech::PvtCorner& environment,
                              const trace::Trace& trace, const DvsRunConfig& config = {});
 
-// Streamed form: single pass over a clone of `source`, with the
-// nominal-supply baseline simulator fed the same spans in lockstep (so no
-// second pass and no materialization anywhere). Segments are delimited by
-// controller windows and regulator change landings, never by block
-// boundaries, so control decisions land on the same cycles at any block
-// size.
+// Streamed form: run_lockstep_loop with one lane and one leg — a single
+// pass over a clone of `source`, the nominal-supply baseline fed the same
+// spans in lockstep.
 DvsRunReport run_closed_loop_streamed(const DvsBusSystem& system,
                                       const tech::PvtCorner& environment,
                                       const trace::TraceSource& source,
@@ -204,7 +284,8 @@ DvsRunReport run_fixed_vs_streamed(const DvsBusSystem& system,
 // Closed loop with the PROPORTIONAL controller the paper discusses and
 // rejects (Section 5). Same regulator model; the controller requests
 // multi-step changes proportional to the band error. Used by the ablation
-// bench to test the paper's "simpler is sufficient" argument.
+// bench to test the paper's "simpler is sufficient" argument. It runs as
+// the one-lane run_lockstep_loop with a proportional window decision.
 struct ProportionalRunConfig {
   dvs::ProportionalConfig controller{};
   std::uint64_t regulator_delay_cycles = 3000;
@@ -235,12 +316,11 @@ ConsecutiveRunReport run_consecutive(const DvsBusSystem& system,
                                      const std::vector<trace::Trace>& traces,
                                      const DvsRunConfig& config = {});
 
-// Streamed form of the paper's headline run: the consecutive-benchmark
-// stream is executed one source at a time with controller/regulator state
-// carried across boundaries — the path that makes billion-cycle Fig. 8
-// campaigns memory-feasible. The pass is sequential (one reader per
-// source, in order); per-source baselines run in lockstep with the DVS
-// simulator.
+// Streamed form of the paper's headline run: run_lockstep_loop with one
+// lane and one leg per source, so regulator, controller and window state
+// carry across source boundaries — the path that makes billion-cycle
+// Fig. 8 campaigns memory-feasible. Each source keeps its own totals,
+// average supply and lockstep baseline.
 ConsecutiveRunReport run_consecutive_streamed(
     const DvsBusSystem& system, const tech::PvtCorner& environment,
     const std::vector<std::unique_ptr<trace::TraceSource>>& sources,

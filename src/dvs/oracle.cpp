@@ -52,19 +52,14 @@ std::size_t OracleSelector::critical_grid_index(const BusWord& prev,
 
 OracleResult OracleSelector::select(const trace::Trace& trace,
                                     const OracleConfig& config) const {
-  // One implementation serves both forms: the materialized trace is viewed
-  // as a (non-owning) stream, whose per-word visit order is identical to
-  // the historical vector loop.
-  const auto view = trace::make_trace_view_source(trace);
-  return select(*view, config);
+  // A view the reader serves zero-copy: no word of the trace is copied.
+  return select(*trace::make_trace_view_source(trace), config);
 }
 
-OracleResult OracleSelector::select(trace::TraceSource& source,
+OracleResult OracleSelector::select(const trace::TraceSource& source,
                                     const OracleConfig& config,
                                     std::size_t block_cycles) const {
   if (config.window_cycles == 0) throw std::invalid_argument("oracle: zero window");
-  if (block_cycles == 0)
-    throw std::invalid_argument("oracle: block_cycles must be > 0");
   // Same guard as the core experiment drivers: a trace wider than the bus
   // would silently drop its high lanes in the classifier masks.
   if (source.n_bits() > design_.n_bits)
@@ -111,14 +106,12 @@ OracleResult OracleSelector::select(trace::TraceSource& source,
     std::fill(histogram.begin(), histogram.end(), 0);
   };
 
-  std::vector<BusWord> block(block_cycles);
-  for (;;) {
-    const std::size_t n = source.next_block(block.data(), block.size());
-    if (n == 0) break;
+  trace::BlockReader reader(source, block_cycles);
+  for (std::size_t n; (n = reader.available()) > 0;) {
+    const BusWord* words = reader.take(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const BusWord& cur = block[i];
-      ++histogram[critical_grid_index(prev, cur)];
-      prev = cur;
+      ++histogram[critical_grid_index(prev, words[i])];
+      prev = words[i];
       if (++in_window == config.window_cycles) {
         close_window(in_window);
         in_window = 0;

@@ -51,13 +51,12 @@ class OracleSelector {
 
   OracleResult select(const trace::Trace& trace, const OracleConfig& config) const;
 
-  // Streamed form (DESIGN.md §12): identical window accounting over a
-  // block-buffered stream — per-window histograms are the only state, so
-  // the oracle windows arbitrarily long captures in O(block) memory. The
-  // result matches select() on the same word sequence exactly. The source
-  // is consumed (not cloned); per-window voltages still accumulate
-  // O(windows) entries.
-  OracleResult select(trace::TraceSource& source, const OracleConfig& config,
+  // Streamed form (DESIGN.md §12), the one body: a trace::BlockReader over
+  // a clone of `source` — per-window histograms are the only state, so the
+  // oracle windows arbitrarily long captures in O(block) memory, and a
+  // resident source is read without a copy. Per-window voltages still
+  // accumulate O(windows) entries.
+  OracleResult select(const trace::TraceSource& source, const OracleConfig& config,
                       std::size_t block_cycles = trace::kDefaultBlockCycles) const;
 
   // Lowest passing grid voltage per pattern class (exposed for tests).

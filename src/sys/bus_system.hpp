@@ -8,26 +8,22 @@
 // stream) advance in lockstep under a shared supply, each bus counts its
 // own receiver-bank errors per controller window, and a pluggable
 // arbitration policy (dvs::fuse_window_errors) fuses the N window counts
-// into the single count the threshold controller sees. Decisions and
-// regulator ramping are untouched single-bus machinery.
+// into the single count the threshold controller sees.
 //
-// Contracts, in the spirit of DESIGN.md §5/§12:
+// BusSystem validates its lanes and runs core::run_lockstep_loop — the one
+// closed loop every single-bus driver runs too. Contracts, in the spirit
+// of DESIGN.md §5/§12:
 //
-//  * N=1 PARITY (the load-bearing invariant, tests/system_test.cpp): a
-//    one-bus BusSystem report is bit-identical to the single-bus
-//    closed-loop drivers (core::run_closed_loop{,_streamed}) — same
-//    integer counts, exactly equal doubles, for every arbitration policy
-//    (they all reduce to the identity at N=1) and every engine mode.
-//    Segments are delimited by controller windows and regulator change
-//    landings exactly as the single-bus loop delimits them; the fused
-//    window count equals the lane count; and the controller is fed whole
-//    windows, which the count-based threshold decision cannot
-//    distinguish from the single-bus per-segment feeding.
-//  * ONE BODY: the lockstep loop lives in run_closed_loop_streamed, which
-//    drains one trace::BlockReader per lane and serves logical segments
-//    across reader spans, so block boundaries never move a control
-//    decision. run_closed_loop forwards to it over zero-copy views of the
-//    resident traces, so both report identically on the same words.
+//  * N=1 PARITY holds by construction: a single-bus driver
+//    (core::run_closed_loop{,_streamed}) is the loop's one-lane case, and
+//    every arbitration policy is the identity at N=1 (unit weight).
+//    tests/system_test.cpp keeps checking it per width and engine.
+//  * One reader per lane serves logical segments across spans, so block
+//    boundaries never move a control decision; run_closed_loop forwards to
+//    run_closed_loop_streamed over zero-copy views of the resident traces.
+//  * A fused window count above the window length (sum_error, or weights
+//    above 1) saturates at the window length: the rate is above any band,
+//    so the controller steps up exactly as it would unsaturated.
 //  * DRIFT: an enabled drift::Schedule re-derives the operating corner at
 //    every controller-window boundary and applies it to all lanes AND
 //    their lockstep nominal baselines (the gain under drift compares the
@@ -45,70 +41,19 @@
 
 #include "core/experiments.hpp"
 #include "core/scenario_spec.hpp"
-#include "core/system.hpp"
 #include "drift/schedule.hpp"
-#include "dvs/arbitration.hpp"
 #include "tech/corner.hpp"
 #include "trace/source.hpp"
 #include "trace/trace.hpp"
 
 namespace razorbus::sys {
 
-// One bus of the system. `system` is non-owning and must outlive the
-// BusSystem; `weight` is read by the `weighted` arbitration policy.
-struct BusLane {
-  const core::DvsBusSystem* system = nullptr;
-  double weight = 1.0;
-};
-
-// The single-bus run config (so a single-bus config maps 1:1 onto the N=1
-// parity case) plus the system-level knobs.
-struct SystemRunConfig {
-  core::DvsRunConfig run{};
-  dvs::ArbitrationPolicy arbitration = dvs::ArbitrationPolicy::max_error;
-  drift::Schedule drift{};  // default-constructed = disabled
-};
-
-struct SystemRunReport {
-  // Per-lane reports in lane order. At N=1, per_bus[0] is bit-identical
-  // to the single-bus driver's DvsRunReport (series lives below instead).
-  std::vector<core::DvsRunReport> per_bus;
-  // One series for the whole system: the shared supply and the FUSED
-  // window error rate at each completed window boundary.
-  std::vector<core::WindowSample> series;
-  std::uint64_t cycles = 0;   // lockstep cycles executed (per lane)
-  std::uint64_t windows = 0;  // completed controller windows
-  double floor_supply = 0.0;
-  double average_supply = 0.0;  // cycle-weighted shared supply
-  // Wall-tracking error of the controller: mean |fused window error rate
-  // - band midpoint| over completed windows — how tightly the shared
-  // loop holds the paper's [low, high] band under arbitration and drift.
-  double wall_tracking_error = 0.0;
-  std::uint64_t env_updates = 0;  // drift corner changes actually applied
-
-  double total_energy() const {
-    double e = 0.0;
-    for (const auto& r : per_bus) e += r.totals.total_energy();
-    return e;
-  }
-  double baseline_bus_energy() const {
-    double e = 0.0;
-    for (const auto& r : per_bus) e += r.baseline_bus_energy;
-    return e;
-  }
-  double energy_gain() const {
-    const double base = baseline_bus_energy();
-    return base > 0.0 ? 1.0 - total_energy() / base : 0.0;
-  }
-  double error_rate() const {
-    std::uint64_t cyc = 0, err = 0;
-    for (const auto& r : per_bus) {
-      cyc += r.totals.cycles;
-      err += r.totals.errors;
-    }
-    return cyc ? static_cast<double>(err) / static_cast<double>(cyc) : 0.0;
-  }
-};
+// One bus of the system (non-owning `system`, `weight` for `weighted`),
+// the single-bus run config plus the system knobs, and the report: the
+// core loop's own types.
+using BusLane = core::LoopLane;
+using SystemRunConfig = core::LoopConfig;
+using SystemRunReport = core::LoopReport;
 
 class BusSystem {
  public:
@@ -137,7 +82,6 @@ class BusSystem {
 
  private:
   std::vector<BusLane> lanes_;
-  std::vector<double> weights_;  // lanes_[i].weight, for fuse_window_errors
 };
 
 // Resolve a declarative drift spec (core::DriftSpec, docs/campaigns.md

@@ -25,20 +25,8 @@ namespace {
 constexpr std::size_t kCycles = 30000;
 
 // The drift suite needs a system whose voltage axis reaches the error
-// wall — test_support::small_system()'s 1.06 V vmin never yields a
-// receiver error at any closed-loop supply, which would make every drift
-// schedule invisible. Same cheap single-temperature configuration, with
-// the axis extended down to 0.90 V (the shared point store keeps the
-// extra grid points from re-simulating anything other builds covered).
-const core::DvsBusSystem& drift_system() {
-  static const core::DvsBusSystem system = [] {
-    core::SystemOptions options;
-    options.lut_config = test_support::small_lut_config();
-    options.lut_config.vmin = 0.90;
-    return core::DvsBusSystem(test_support::sized_paper_bus(), options);
-  }();
-  return system;
-}
+// wall, or every drift schedule would be invisible.
+const core::DvsBusSystem& drift_system() { return test_support::error_wall_system(); }
 
 trace::SyntheticConfig synth_config(std::size_t cycles, std::uint64_t seed) {
   trace::SyntheticConfig cfg;

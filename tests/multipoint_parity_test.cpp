@@ -128,7 +128,7 @@ TEST(MultiPoint, AccumulatesAcrossTraces) {
                               {a.words, b.words}, "two traces");
 }
 
-// Streamed input: draining a TraceSource through the block buffer must be
+// Streamed input: draining a TraceSource through a 256-word BlockReader must be
 // bit-identical to one run over the materialized words (any block split),
 // and both must match the scalar loop.
 TEST(MultiPoint, StreamedMatchesMaterialized) {
@@ -144,9 +144,9 @@ TEST(MultiPoint, StreamedMatchesMaterialized) {
       bus::MultiPointEngine batch(system.design(), system.table(), points, config);
       batch.run(materialized.words);
 
-      const auto source = trace::make_synthetic_source(cfg, "mp_stream");
+      trace::BlockReader reader(*trace::make_synthetic_source(cfg, "mp_stream"), 256);
       bus::MultiPointEngine streamed(system.design(), system.table(), points, config);
-      streamed.run(*source, 256);
+      for (std::size_t n; (n = reader.available()) > 0;) streamed.run(reader.take(n), n);
 
       for (std::size_t p = 0; p < points.size(); ++p) {
         const std::string what = "width " + std::to_string(width) + " sigma " +
@@ -210,13 +210,14 @@ TEST(MultiPoint, RejectsBadInputs) {
                    system.design(), system.table(),
                    {{-1.0, tech::PvtCorner{tech::ProcessCorner::typical, 100.0, 0.0}}}),
                std::invalid_argument);
-  // Streams wider than the bus are rejected loudly, not truncated.
+  // Streams wider than the bus are rejected loudly, not truncated: the
+  // batched sweep checks the width before the engine sees a word.
   const auto& narrow = system_at(16);
   const auto wide_source = trace::make_synthetic_source(trace_config(32, 100, 5), "w32");
-  bus::MultiPointEngine engine(
-      narrow.design(), narrow.table(),
-      {{1.14, tech::PvtCorner{tech::ProcessCorner::typical, 100.0, 0.0}}});
-  EXPECT_THROW(engine.run(*wide_source), std::invalid_argument);
+  EXPECT_THROW(core::static_voltage_sweep_streamed(
+                   narrow, tech::PvtCorner{tech::ProcessCorner::typical, 100.0, 0.0},
+                   *wide_source, 0.0, bus::EngineMode::simd),
+               std::invalid_argument);
 }
 
 // "simd" is a first-class engine-mode name, and on a single simulator it

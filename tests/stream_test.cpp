@@ -219,25 +219,33 @@ TEST(TraceSource, BusInvertStreamMatchesEncoder) {
 
 // ------------------------------------------------------------- simulator
 
-TEST(StreamSimulator, RunSourceMatchesRunWords) {
-  const trace::Trace t = trace::generate_synthetic(synth_config(20000, 21), "t");
+TEST(StreamSimulator, BlockReaderSpansMatchRunWords) {
+  const auto cfg = synth_config(20000, 21);
+  const trace::Trace t = trace::generate_synthetic(cfg, "t");
   const auto& system = small_system();
   const auto corner = tech::typical_corner();
 
   bus::BusSimulator on_words = system.make_simulator(corner);
   const bus::RunningTotals a = on_words.run(t.words);
 
+  // A lazy producer through odd blocks: the engine sees split spans.
   bus::BusSimulator on_stream = system.make_simulator(corner);
-  auto source = trace::make_trace_view_source(t);
-  const bus::RunningTotals b = on_stream.run(*source, kOddBlock);
-  expect_totals_eq(a, b);
+  trace::BlockReader reader(*trace::make_synthetic_source(cfg, "t"), kOddBlock);
+  for (std::size_t n; (n = reader.available()) > 0;) on_stream.run(reader.take(n), n);
+  expect_totals_eq(a, on_stream.totals());
 }
 
-TEST(StreamSimulator, RejectsStreamsWiderThanTheBus) {
-  bus::BusSimulator sim = small_system().make_simulator(tech::typical_corner());
+TEST(StreamSimulator, DriversRejectStreamsWiderThanTheBus) {
+  const auto& system = small_system();
+  const auto corner = tech::typical_corner();
   const auto wide = trace::make_synthetic_source(
       synth_config(10, 1, trace::SyntheticStyle::uniform, 64), "wide");
-  EXPECT_THROW(sim.run(*wide), std::invalid_argument);
+  EXPECT_THROW(core::run_closed_loop_streamed(system, corner, *wide),
+               std::invalid_argument);
+  EXPECT_THROW(core::static_voltage_sweep_streamed(system, corner, *wide),
+               std::invalid_argument);
+  dvs::OracleSelector oracle(system.design(), system.table(), corner);
+  EXPECT_THROW(oracle.select(*wide, dvs::OracleConfig{}), std::invalid_argument);
 }
 
 // ------------------------------------- experiment drivers (parity suite)
@@ -330,6 +338,41 @@ TEST(StreamParity, ConsecutiveRunBitIdentical) {
     EXPECT_EQ(golden.series[i].end_cycle, streamed.series[i].end_cycle);
     EXPECT_EQ(golden.series[i].supply, streamed.series[i].supply);
     EXPECT_EQ(golden.series[i].error_rate, streamed.series[i].error_rate);
+  }
+}
+
+// Carrying the loop across a source boundary is running the concatenation:
+// the series is the same window for window, and the per-trace counts add
+// up. `a` ends mid-window, so window state crosses the boundary.
+TEST(StreamParity, ConsecutiveRunEqualsOneRunOverConcatenation) {
+  const std::vector<trace::Trace> traces = {
+      trace::generate_synthetic(synth_config(25000, 45), "a"),
+      trace::generate_synthetic(synth_config(31000, 46), "b")};
+  const auto& system = small_system();
+  const auto corner = tech::typical_corner();
+  core::DvsRunConfig config = parity_config();
+  config.record_series = true;
+  ASSERT_NE(traces[0].words.size() % config.controller.window_cycles, 0u);
+
+  const core::ConsecutiveRunReport consecutive =
+      core::run_consecutive(system, corner, traces, config);
+  std::vector<std::unique_ptr<trace::TraceSource>> parts;
+  for (const auto& t : traces) parts.push_back(trace::make_trace_view_source(t));
+  const core::DvsRunReport whole = core::run_closed_loop_streamed(
+      system, corner, *trace::concatenate_sources(std::move(parts), "ab"), config);
+
+  const auto& parts_run = consecutive.per_trace;
+  ASSERT_EQ(parts_run.size(), 2u);
+  EXPECT_EQ(parts_run[0].totals.cycles + parts_run[1].totals.cycles, whole.totals.cycles);
+  EXPECT_EQ(parts_run[0].totals.errors + parts_run[1].totals.errors, whole.totals.errors);
+  ASSERT_EQ(consecutive.series.size(), whole.series.size());
+  ASSERT_GT(whole.series.size(), 20u);
+  for (std::size_t i = 0; i < whole.series.size(); ++i) {
+    const core::WindowSample& a = consecutive.series[i];
+    const core::WindowSample& b = whole.series[i];
+    EXPECT_EQ(a.end_cycle, b.end_cycle) << "window " << i;
+    EXPECT_EQ(a.supply, b.supply) << "window " << i;
+    EXPECT_EQ(a.error_rate, b.error_rate) << "window " << i;
   }
 }
 
@@ -440,8 +483,9 @@ TEST(StreamParity, OracleSelectMatches) {
   config.target_error_rate = 0.02;
 
   const dvs::OracleResult golden = oracle.select(t, config);
-  auto source = trace::make_trace_view_source(t);
-  const dvs::OracleResult streamed = oracle.select(*source, config, kOddBlock);
+  const dvs::OracleResult streamed =
+      oracle.select(*trace::make_synthetic_source(synth_config(30000, 52), "t"), config,
+                    kOddBlock);
 
   EXPECT_EQ(golden.achieved_error_rate, streamed.achieved_error_rate);
   ASSERT_EQ(golden.window_voltages.size(), streamed.window_voltages.size());

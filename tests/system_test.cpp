@@ -371,6 +371,25 @@ TEST(MultiBus, SumPolicyIsAtLeastAsConservativeAsMaxOnIdenticalLanes) {
   EXPECT_GE(sum_run.average_supply, max_run.average_supply);
 }
 
+// A fused count above the window length (a weight above 1 here) saturates
+// at the window length instead of failing the run: the window's rate reads
+// 1, and the controller steps up as it would for any rate above the band.
+TEST(MultiBus, WeightedCountAboveTheWindowSaturates) {
+  const core::DvsBusSystem& bus = test_support::error_wall_system();
+  const tech::PvtCorner slow{tech::ProcessCorner::slow, 100.0, 0.0};
+  const sys::BusSystem pair({{&bus, 100.0}, {&bus, 1.0}});
+  core::DvsRunConfig cfg = single_config();
+  cfg.start_supply = bus.dvs_floor(slow.process);
+  const sys::SystemRunReport report = pair.run_closed_loop(
+      slow,
+      {synth(kCycles, 21), synth(kCycles, 22, 32, trace::SyntheticStyle::sparse)},
+      system_config(cfg, dvs::ArbitrationPolicy::weighted));
+  ASSERT_EQ(report.windows, kCycles / cfg.controller.window_cycles);
+  EXPECT_EQ(report.series.front().error_rate, 1.0);
+  for (const auto& window : report.series) EXPECT_LE(window.error_rate, 1.0);
+  EXPECT_GT(report.series.back().supply, cfg.start_supply);
+}
+
 // ------------------------------------------------------------- validation
 
 TEST(BusSystem, ConstructorValidation) {

@@ -45,6 +45,21 @@ inline const core::DvsBusSystem& small_system() {
   return system;
 }
 
+// small_system() with its voltage axis extended down to 0.90 V: the
+// 1.06 V vmin of small_system() never yields a receiver error at any
+// closed-loop supply, this one reaches the error wall (at the slow corner,
+// or under aging). The shared point store keeps the extra grid points from
+// re-simulating anything other builds covered.
+inline const core::DvsBusSystem& error_wall_system() {
+  static const core::DvsBusSystem system = [] {
+    core::SystemOptions options;
+    options.lut_config = small_lut_config();
+    options.lut_config.vmin = 0.90;
+    return core::DvsBusSystem(sized_paper_bus(), options);
+  }();
+  return system;
+}
+
 inline const core::DvsBusSystem& paper_system() {
   static const core::DvsBusSystem system{interconnect::BusDesign::paper_bus()};
   return system;

@@ -1,4 +1,4 @@
-// campaignd — the standing campaign scheduler (docs/campaignd.md).
+// campaignd — the campaign binary (docs/campaignd.md).
 //
 //   campaignd run <campaign.json> [--out=DIR] [--cache=DIR] [--workers=N]
 //                 [--runner=BIN] [--force] [--max_jobs=N] [--shard=K/N]
@@ -8,6 +8,8 @@
 //   campaignd status [--out=DIR]      (also: campaignd --status)
 //   campaignd manifest <campaign.json> --shards=N [--out=DIR]
 //   campaignd hash <campaign.json>
+//   campaignd list
+//   campaignd run-one <job.spec.json> --json=PATH
 //
 // `run` expands the campaign into jobs, reconciles them against the
 // durable queue under <out>/queue (a worker killed mid-campaign resumes
@@ -15,11 +17,17 @@
 // claim loops. Every job is first looked up in the content-hash result
 // cache under <out>/cache (shareable across campaigns, CI runs and hosts
 // via --cache): a hit replays the stored BENCH_<job>.json byte-for-byte
-// with zero simulated cycles. `worker` attaches additional processes to
-// the same queue — the O_EXCL claim protocol makes them steal work safely.
-// `manifest` splits a campaign across hosts by content hash; each host
-// runs its shard (--shard=K/N) against a shared cache. `status` prints
-// the live status snapshot campaignd maintains at <out>/status.json.
+// with zero simulated cycles; a miss runs the job as a `run-one` child of
+// --runner (default: this binary). `worker` attaches additional processes
+// to the same queue — the O_EXCL claim protocol makes them steal work
+// safely. `manifest` splits a campaign across hosts by content hash; each
+// host runs its shard (--shard=K/N) against a shared cache. `status`
+// prints the live status snapshot campaignd maintains at
+// <out>/status.json. `hash` prints every expanded job with its content
+// hash; `list` prints the registered bench scenarios. `run-one` executes
+// one expanded job in-process through the same run_scenario path as the
+// standalone bench binaries, so a bench job's report is byte-identical to
+// theirs (modulo wall-clock fields; tests/campaign_test.cpp).
 #include <unistd.h>
 
 #include <algorithm>
@@ -32,6 +40,7 @@
 #include "lut/point_store.hpp"
 #include "core/scenario_spec.hpp"
 #include "scenario_registry.hpp"
+#include "scenarios/scenarios.hpp"
 #include "svc/fsio.hpp"
 #include "svc/service.hpp"
 #include "util/cli.hpp"
@@ -43,12 +52,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// The binary whose `run-one` executes a single job: the sibling `campaign`
-// client by default (same build directory), overridable for tests.
+// The binary whose `run-one` executes a single job: this one by default,
+// overridable with --runner. An argv[0] with a '/' is a path, made
+// absolute; a bare name was found through PATH, which the children
+// inherit, so it stays bare.
 std::string default_runner(const char* argv0) {
-  const fs::path self(argv0);
-  const fs::path dir = self.parent_path();
-  return (dir.empty() ? fs::path(".") : dir) / "campaign";
+  const std::string self(argv0);
+  return self.find('/') == std::string::npos ? self : fs::absolute(self).string();
 }
 
 struct Expanded {
@@ -235,6 +245,33 @@ int hash(const std::string& campaign_path, const CliFlags& flags) {
   return 0;
 }
 
+int list() {
+  std::printf("registered bench scenarios (usable as \"bench\" spec entries):\n");
+  for (const auto& scenario : all_scenarios())
+    std::printf("  %-26s %s\n", scenario.name.c_str(), scenario.description.c_str());
+  return 0;
+}
+
+// Executes one expanded job in-process: the synthesized argv is exactly
+// what the standalone binary would have been given.
+int run_one(const std::string& spec_path, const std::string& json_flag) {
+  const core::ScenarioSpec spec =
+      core::ScenarioSpec::from_json(Json::parse_file(spec_path));
+  const Scenario scenario = make_job_scenario(spec, spec_path);
+
+  std::vector<std::string> args;
+  args.push_back("campaignd run-one");
+  if (scenario.default_cycles > 0 && spec.cycles > 0)
+    args.push_back("--cycles=" + std::to_string(spec.cycles));
+  args.push_back("--threads=" + std::to_string(spec.threads));
+  args.push_back(json_flag);
+  for (const auto& [key, value] : spec.flags) args.push_back("--" + key + "=" + value);
+  std::vector<char*> argv;
+  argv.reserve(args.size());
+  for (auto& arg : args) argv.push_back(arg.data());
+  return run_scenario(static_cast<int>(argv.size()), argv.data(), scenario);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -268,10 +305,26 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("usage: campaignd hash <campaign.json>");
       return hash(positional[1], flags);
     }
+    if (command == "list") {
+      if (positional.size() != 1)
+        throw std::invalid_argument("usage: campaignd list (a campaign's expanded jobs: "
+                                    "campaignd hash <campaign.json>)");
+      flags.reject_unused();
+      return list();
+    }
+    if (command == "run-one") {
+      if (positional.size() != 2)
+        throw std::invalid_argument(
+            "usage: campaignd run-one <job.spec.json> [--json=PATH]");
+      const std::string json_flag = "--json=" + flags.get("json", "true");
+      flags.reject_unused();
+      return run_one(positional[1], json_flag);
+    }
     throw std::invalid_argument(
         "usage: campaignd run <campaign.json> | campaignd worker | "
         "campaignd status | campaignd manifest <campaign.json> --shards=N | "
-        "campaignd hash <campaign.json>");
+        "campaignd hash <campaign.json> | campaignd list | "
+        "campaignd run-one <job.spec.json>");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "campaignd: %s\n", e.what());
     return 2;

@@ -1,54 +1,23 @@
-// Declarative scenario-campaign runner (DESIGN.md §11) — a thin client
-// over the campaign service (docs/campaignd.md).
-//
-//   campaign run <campaign.json> [--out=DIR] [--jobs=N] [--cache=DIR]
-//                [--force] [--dry_run] [--json=PATH]
-//   campaign list [<campaign.json>]
-//   campaign run-one <job.spec.json> --json=PATH   (internal)
-//
-// `run` expands the campaign file into the scenario cross product
-// (scenarios x widths x controllers) and hands the jobs to
-// svc::CampaignService: the durable queue under <out>/queue makes runs
-// resumable after any kill, and the content-hash result cache under
-// <out>/cache (shareable via --cache) replays previously-completed jobs'
-// BENCH_<job>.json byte-for-byte without simulating. Each executed job is
-// a `campaign run-one` subprocess (--jobs at a time) whose stdout/stderr
-// land in <out>/<job>.log; per-job reports aggregate into one consolidated
-// BENCH_campaign.json. A half-written report or queue record from an
-// interrupted run fails its parse and reruns — the same torn-file
-// tolerance lut::PointStore applies. Jobs referencing a registered bench
-// scenario run the exact legacy harness code path, so their reports are
-// byte-identical to the standalone binaries' (modulo wall-clock fields) —
-// enforced by tests/campaign_test.cpp. `campaignd` drives the same
-// service with workers, shard manifests and a status surface.
-#include <algorithm>
+// Declarative campaign jobs (docs/campaigns.md): the closed-loop,
+// multi-bus and static-sweep experiments a campaign spec describes
+// without naming a registered bench, plus make_job_scenario(), which turns
+// any expanded job spec into the Scenario `campaignd run-one` executes.
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
+#include <stdexcept>
 
 #include "bus/businvert.hpp"
-#include "core/scenario_spec.hpp"
 #include "scenario_registry.hpp"
-#include "svc/fsio.hpp"
-#include "svc/service.hpp"
+#include "scenarios/scenarios.hpp"
 #include "sys/bus_system.hpp"
 #include "trace/io.hpp"
 #include "trace/source.hpp"
 #include "trace/synthetic.hpp"
 
-using namespace razorbus;
-using namespace razorbus::bench;
-
-namespace fs = std::filesystem;
+namespace razorbus::bench {
 
 namespace {
-
-// ------------------------------------------------- declarative experiments
 
 // The bus system a declarative job runs on: the paper bus at the job's
 // width, characterised adaptively when the job sets `lut_tolerance`. The
@@ -357,161 +326,45 @@ void run_static_sweep_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) 
   if (spec.stream) record_stream_stats(ctx, stream_stats);
 }
 
-// ----------------------------------------------------------------- run-one
-
-// Executes one expanded job in-process through the shared run_scenario
-// path (identical reports to the legacy binaries by construction).
-int run_one(const std::string& spec_path, const std::string& json_flag) {
-  const core::ScenarioSpec spec =
-      core::ScenarioSpec::from_json(Json::parse_file(spec_path));
-
-  Scenario scenario;
-  if (spec.kind == core::ScenarioSpec::Kind::bench) {
-    scenario = scenario_by_name(spec.bench);
-  } else {
-    if (spec.cycles == 0)
-      throw std::invalid_argument("job '" + spec.name +
-                                  "': declarative scenarios need a cycle budget "
-                                  "(scenario 'cycles' or campaign defaults)");
-    scenario.name = spec.name;
-    switch (spec.kind) {
-      case core::ScenarioSpec::Kind::closed_loop:
-        scenario.description = "declarative closed-loop DVS (" +
-                               spec.controllers.at(0).label() + ", " +
-                               std::to_string(spec.widths.at(0)) + " wires)";
-        break;
-      case core::ScenarioSpec::Kind::multi_bus:
-        scenario.description = "declarative multi-bus shared-supply DVS (" +
-                               std::to_string(spec.buses.size()) + " buses, " +
-                               dvs::to_string(spec.arbitration) + ")";
-        break;
-      default:
-        scenario.description = "declarative static voltage sweep (" +
-                               std::to_string(spec.widths.at(0)) + " wires)";
-        break;
-    }
-    if (spec.drift.enabled) scenario.description += " [drift]";
-    if (spec.stream) scenario.description += " [streamed]";
-    scenario.paper_ref = "campaign spec " + spec_path;
-    scenario.default_cycles = spec.cycles;
-    scenario.run = [spec](ScenarioContext& ctx) {
-      if (spec.kind == core::ScenarioSpec::Kind::closed_loop)
-        run_closed_loop_job(spec, ctx);
-      else if (spec.kind == core::ScenarioSpec::Kind::multi_bus)
-        run_multi_bus_job(spec, ctx);
-      else
-        run_static_sweep_job(spec, ctx);
-    };
-  }
-
-  // Synthesize the exact argv the standalone binary would have been given.
-  std::vector<std::string> args;
-  args.push_back("campaign run-one");
-  if (scenario.default_cycles > 0 && spec.cycles > 0)
-    args.push_back("--cycles=" + std::to_string(spec.cycles));
-  args.push_back("--threads=" + std::to_string(spec.threads));
-  args.push_back(json_flag);
-  for (const auto& [key, value] : spec.flags) args.push_back("--" + key + "=" + value);
-  std::vector<char*> argv;
-  argv.reserve(args.size());
-  for (auto& arg : args) argv.push_back(arg.data());
-  return run_scenario(static_cast<int>(argv.size()), argv.data(), scenario);
-}
-
-// --------------------------------------------------------------------- run
-
-int run_campaign(const std::string& self, const std::string& campaign_path,
-                 CliFlags& flags) {
-  const core::CampaignSpec campaign = core::CampaignSpec::from_file(campaign_path);
-  std::vector<core::ScenarioJob> jobs = core::expand_campaign(campaign);
-  // Fail-fast contract (DESIGN.md §11): a typo'd bench name must surface
-  // now, not after the jobs ahead of it have burned their budgets.
-  for (const auto& job : jobs)
-    if (job.spec.kind == core::ScenarioSpec::Kind::bench)
-      scenario_by_name(job.spec.bench);  // throws, listing the known names
-
-  svc::ServiceConfig config;
-  config.out_dir = flags.get("out", "campaign_out/" + campaign.name);
-  config.cache_dir = flags.get("cache", "");
-  config.runner = self;  // jobs execute as `campaign run-one` children
-  config.workers = static_cast<unsigned>(
-      std::max<std::int64_t>(1, flags.get_int("jobs", 1)));
-  config.force = flags.get_bool("force", false);
-  const bool dry_run = flags.get_bool("dry_run", false);
-  const std::string consolidated = flags.get("json", "BENCH_campaign.json");
-  flags.reject_unused();
-
-  std::printf("campaign '%s': %zu scenario(s) -> %zu job(s)\n", campaign.name.c_str(),
-              campaign.scenarios.size(), jobs.size());
-  if (dry_run) {
-    for (const auto& job : jobs) std::printf("  %s\n", job.name.c_str());
-    return 0;
-  }
-
-  // All the heavy lifting — durable queue reconciliation (resume), the
-  // content-hash result cache, worker scheduling, status snapshots — is
-  // the shared service; this client keeps the PR-4 CLI and output shape.
-  svc::CampaignService service(campaign, std::move(jobs), std::move(config));
-  service.prepare();
-  const svc::CampaignService::Summary summary = service.run();
-
-  svc::write_file_atomic(consolidated, service.aggregate().dump(2) + "\n");
-  const std::size_t cached =
-      summary.cached_prior + static_cast<std::size_t>(summary.cache_hits);
-  std::printf("\n[%s: %zu job(s), %zu cached, %zu failed, %.2f s] wrote %s\n",
-              campaign.name.c_str(), summary.jobs_total, cached, summary.failed,
-              summary.wall_seconds, consolidated.c_str());
-  return summary.failed == 0 ? 0 : 1;
-}
-
-int list_scenarios(const CliFlags& flags) {
-  if (!flags.positional().empty() && flags.positional().size() >= 2) {
-    const core::CampaignSpec campaign =
-        core::CampaignSpec::from_file(flags.positional()[1]);
-    std::printf("campaign '%s': %zu scenario(s)\n", campaign.name.c_str(),
-                campaign.scenarios.size());
-    for (const auto& job : core::expand_campaign(campaign))
-      std::printf("  %s\n", job.name.c_str());
-    return 0;
-  }
-  std::printf("registered bench scenarios (usable as \"bench\" spec entries):\n");
-  for (const auto& scenario : all_scenarios())
-    std::printf("  %-26s %s\n", scenario.name.c_str(), scenario.description.c_str());
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    CliFlags flags(argc, argv);
-    const auto& positional = flags.positional();
-    const std::string command = positional.empty() ? "" : positional[0];
-
-    if (command == "list") {
-      const int rc = list_scenarios(flags);
-      flags.reject_unused();
-      return rc;
-    }
-    if (command == "run") {
-      if (positional.size() != 2)
-        throw std::invalid_argument("usage: campaign run <campaign.json> [--out=DIR] "
-                                    "[--jobs=N] [--force] [--dry_run] [--json=PATH]");
-      return run_campaign(argv[0], positional[1], flags);
-    }
-    if (command == "run-one") {
-      if (positional.size() != 2)
-        throw std::invalid_argument("usage: campaign run-one <job.spec.json> "
-                                    "[--json=PATH]");
-      const std::string json_flag = "--json=" + flags.get("json", "true");
-      flags.reject_unused();
-      return run_one(positional[1], json_flag);
-    }
-    throw std::invalid_argument(
-        "usage: campaign run <campaign.json> | campaign list [<campaign.json>] | "
-        "campaign run-one <job.spec.json>");
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "campaign: %s\n", e.what());
-    return 2;
+Scenario make_job_scenario(const core::ScenarioSpec& spec, const std::string& spec_path) {
+  if (spec.kind == core::ScenarioSpec::Kind::bench) return scenario_by_name(spec.bench);
+  if (spec.cycles == 0)
+    throw std::invalid_argument("job '" + spec.name +
+                                "': declarative scenarios need a cycle budget "
+                                "(scenario 'cycles' or campaign defaults)");
+  Scenario scenario;
+  scenario.name = spec.name;
+  switch (spec.kind) {
+    case core::ScenarioSpec::Kind::closed_loop:
+      scenario.description = "declarative closed-loop DVS (" +
+                             spec.controllers.at(0).label() + ", " +
+                             std::to_string(spec.widths.at(0)) + " wires)";
+      break;
+    case core::ScenarioSpec::Kind::multi_bus:
+      scenario.description = "declarative multi-bus shared-supply DVS (" +
+                             std::to_string(spec.buses.size()) + " buses, " +
+                             dvs::to_string(spec.arbitration) + ")";
+      break;
+    default:
+      scenario.description = "declarative static voltage sweep (" +
+                             std::to_string(spec.widths.at(0)) + " wires)";
+      break;
   }
+  if (spec.drift.enabled) scenario.description += " [drift]";
+  if (spec.stream) scenario.description += " [streamed]";
+  scenario.paper_ref = "campaign spec " + spec_path;
+  scenario.default_cycles = spec.cycles;
+  scenario.run = [spec](ScenarioContext& ctx) {
+    if (spec.kind == core::ScenarioSpec::Kind::closed_loop)
+      run_closed_loop_job(spec, ctx);
+    else if (spec.kind == core::ScenarioSpec::Kind::multi_bus)
+      run_multi_bus_job(spec, ctx);
+    else
+      run_static_sweep_job(spec, ctx);
+  };
+  return scenario;
 }
+
+}  // namespace razorbus::bench

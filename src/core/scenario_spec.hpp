@@ -10,8 +10,8 @@
 // list plus the cross-bus arbitration policy, and for closed-loop kinds an
 // optional drift schedule. The `widths` and `controllers` axes are
 // cross-product axes: expand_campaign() multiplies them out into concrete
-// single-width single-controller ScenarioJobs the `campaign` binary
-// executes as shards.
+// single-width single-controller ScenarioJobs that `campaignd` executes
+// as `run-one` children.
 //
 // Parsing is STRICT: unknown keys, wrong value types and out-of-range
 // widths all throw std::invalid_argument naming the offending field, so a

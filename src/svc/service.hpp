@@ -35,8 +35,8 @@ struct ServiceConfig {
   std::string queue_dir;   // default <out_dir>/queue
   std::string cache_dir;   // default <out_dir>/cache
   std::string status_path; // default <out_dir>/status.json
-  // Binary whose `run-one <spec> --json=<report>` executes one job (the
-  // `campaign` client passes itself; campaignd defaults to its sibling).
+  // Binary whose `run-one <spec> --json=<report>` executes one job
+  // (campaignd defaults to itself).
   std::string runner;
   unsigned workers = 1;    // claim loops (ThreadPool lanes) in this process
   bool force = false;      // ignore done records AND cache entries

@@ -461,7 +461,7 @@ std::string normalized_report(const std::string& path) {
 class CampaignEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!std::ifstream("./campaign") || !std::ifstream("./fig4_voltage_sweep"))
+    if (!std::ifstream("./campaignd") || !std::ifstream("./fig4_voltage_sweep"))
       GTEST_SKIP() << "bench binaries not in the working directory; run from build/";
     ASSERT_EQ(run_cmd("rm -rf campaign_test_out && mkdir -p campaign_test_out"), 0);
   }
@@ -484,6 +484,12 @@ TEST_F(CampaignEndToEnd, ReportsMatchLegacyBinariesByteForByte) {
                     "> campaign_test_out/legacy_table1.log 2>&1"),
             0);
 
+  // Every scenario the campaign references is a registered bench.
+  ASSERT_EQ(run_cmd("./campaignd list > campaign_test_out/list.log 2>&1"), 0);
+  const std::string listed = slurp("campaign_test_out/list.log");
+  for (const char* name : {"fig4_voltage_sweep", "fig8_dvs_trace", "table1_dvs_gains"})
+    EXPECT_NE(listed.find(name), std::string::npos) << listed;
+
   std::ofstream spec("campaign_test_out/paper_small.json");
   spec << R"({
     "name": "paper_small",
@@ -496,7 +502,7 @@ TEST_F(CampaignEndToEnd, ReportsMatchLegacyBinariesByteForByte) {
   })";
   spec.close();
 
-  ASSERT_EQ(run_cmd("./campaign run campaign_test_out/paper_small.json "
+  ASSERT_EQ(run_cmd("./campaignd run campaign_test_out/paper_small.json "
                     "--out=campaign_test_out/run "
                     "--json=campaign_test_out/BENCH_campaign.json "
                     "> campaign_test_out/campaign.log 2>&1"),
@@ -519,7 +525,7 @@ TEST_F(CampaignEndToEnd, ReportsMatchLegacyBinariesByteForByte) {
 
   // Resume: a second run must execute nothing (all jobs cached) and still
   // rewrite the same consolidated report.
-  ASSERT_EQ(run_cmd("./campaign run campaign_test_out/paper_small.json "
+  ASSERT_EQ(run_cmd("./campaignd run campaign_test_out/paper_small.json "
                     "--out=campaign_test_out/run "
                     "--json=campaign_test_out/BENCH_campaign2.json "
                     "> campaign_test_out/campaign2.log 2>&1"),
@@ -552,7 +558,7 @@ TEST_F(CampaignEndToEnd, DeclarativeJobRunsAndReports) {
     ]
   })";
   spec.close();
-  ASSERT_EQ(run_cmd("./campaign run campaign_test_out/decl.json "
+  ASSERT_EQ(run_cmd("./campaignd run campaign_test_out/decl.json "
                     "--out=campaign_test_out/decl_run "
                     "--json=campaign_test_out/BENCH_decl.json "
                     "> campaign_test_out/decl.log 2>&1"),
@@ -575,7 +581,7 @@ TEST_F(CampaignEndToEnd, EditedSpecInvalidatesResume) {
          << cycles << R"(, "threads": 1}]})";
   };
   const std::string cmd =
-      "./campaign run campaign_test_out/edit.json --out=campaign_test_out/edit_run "
+      "./campaignd run campaign_test_out/edit.json --out=campaign_test_out/edit_run "
       "--json=campaign_test_out/BENCH_edit.json > campaign_test_out/edit.log 2>&1";
   write_spec(2000);
   ASSERT_EQ(run_cmd(cmd), 0);
@@ -602,7 +608,7 @@ TEST_F(CampaignEndToEnd, TornReportIsSkippedAndRerun) {
      "cycles": 2000, "threads": 1}]})";
   spec.close();
   const std::string cmd =
-      "./campaign run campaign_test_out/torn.json --out=campaign_test_out/torn_run "
+      "./campaignd run campaign_test_out/torn.json --out=campaign_test_out/torn_run "
       "--json=campaign_test_out/BENCH_torn.json > campaign_test_out/torn.log 2>&1";
   ASSERT_EQ(run_cmd(cmd), 0);
   const std::string report_path = "campaign_test_out/torn_run/BENCH_sweep.json";
@@ -647,7 +653,7 @@ TEST_F(CampaignEndToEnd, MalformedCampaignFailsBeforeAnyWork) {
   spec << R"({"name": "bad", "scenarios": [{"bench": "fig4_voltage_sweep",
               "cycels": 10}]})";
   spec.close();
-  EXPECT_NE(run_cmd("./campaign run campaign_test_out/bad.json "
+  EXPECT_NE(run_cmd("./campaignd run campaign_test_out/bad.json "
                     "--out=campaign_test_out/bad_run "
                     "> campaign_test_out/bad.log 2>&1"),
             0);
@@ -663,7 +669,7 @@ TEST_F(CampaignEndToEnd, MalformedCampaignFailsBeforeAnyWork) {
               {"bench": "fig4_voltage_sweep", "cycles": 1000},
               {"bench": "fig4_voltage_swep"}]})";
   typo.close();
-  EXPECT_NE(run_cmd("./campaign run campaign_test_out/typo.json "
+  EXPECT_NE(run_cmd("./campaignd run campaign_test_out/typo.json "
                     "--out=campaign_test_out/typo_run "
                     "> campaign_test_out/typo.log 2>&1"),
             0);

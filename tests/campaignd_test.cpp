@@ -401,7 +401,7 @@ TEST(ResultCache, VerbatimRoundTripAndTornEntryTolerance) {
 class CampaigndEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!std::ifstream("./campaignd") || !std::ifstream("./campaign"))
+    if (!std::ifstream("./campaignd"))
       GTEST_SKIP() << "bench binaries not in the working directory; run from build/";
     fs::create_directories("campaignd_test_out");
     std::ofstream spec("campaignd_test_out/tiny.json");
@@ -482,6 +482,34 @@ TEST_F(CampaigndEndToEnd, InterruptedCampaignResumesWithoutRerunning) {
   EXPECT_TRUE(queue.all_done());
 }
 
+// campaignd found through PATH and started from another directory, with
+// no --runner: its run-one children are the same binary, found the same
+// way, so every job executes.
+TEST_F(CampaigndEndToEnd, DefaultRunnerWorksThroughPathFromAnotherDirectory) {
+  const std::string out = fs::absolute("campaignd_test_out/via_path").string();
+  fs::remove_all(out);
+  fs::create_directories(out + "/cwd");
+  // Share this directory's characterization cache: the run's cwd is elsewhere.
+  const char* lut_env = std::getenv("RAZORBUS_CACHE_DIR");
+  const std::string lut_dir =
+      fs::absolute(lut_env != nullptr && *lut_env != '\0' ? lut_env : ".razorbus_cache")
+          .string();
+  const std::string spec = fs::absolute("campaignd_test_out/tiny.json").string();
+  const std::string log = out + ".log";
+  ASSERT_EQ(run_cmd("cd " + svc::shell_quote(out + "/cwd") +
+                    " && PATH=" + svc::shell_quote(fs::current_path().string()) +
+                    ":\"$PATH\" RAZORBUS_CACHE_DIR=" + svc::shell_quote(lut_dir) +
+                    " campaignd run " + svc::shell_quote(spec) +
+                    " --out=" + svc::shell_quote(out + "/run") + " > " +
+                    svc::shell_quote(log) + " 2>&1"),
+            0)
+      << slurp(log);
+  const Json status = status_of(out + "/run");
+  EXPECT_EQ(status.at("executed").as_int(), 3);
+  EXPECT_EQ(status.at("failed").as_int(), 0);
+  EXPECT_EQ(status.at("done").as_int(), 3);
+}
+
 // The checked-in multi-bus and drift campaign files run cold end to end,
 // and a warm rerun against the shared cache replays every job without a
 // single simulated cycle, byte-identically — the same reuse contract the
@@ -541,7 +569,7 @@ TEST_F(CampaigndEndToEnd, ManyLanesSpawnOneChildPerJob) {
     std::ofstream script(wrapper);
     script << "#!/bin/sh\n"
            << "echo \"$2\" >> " << svc::shell_quote(runs_log) << "\n"
-           << "exec " << svc::shell_quote(fs::absolute("campaign").string())
+           << "exec " << svc::shell_quote(fs::absolute("campaignd").string())
            << " \"$@\"\n";
   }
   fs::permissions(wrapper, fs::perms::owner_all, fs::perm_options::add);
@@ -585,7 +613,7 @@ TEST_F(CampaigndEndToEnd, ConcurrentReportWritersLeaveOneCompleteReport) {
         "cycles": 2000, "threads": 1})";
   const std::string report = out + "/BENCH_uni.json";
   for (int round = 0; round < 4; ++round) {
-    const std::string one = "./campaign run-one " + out + "/job.spec.json --json=" +
+    const std::string one = "./campaignd run-one " + out + "/job.spec.json --json=" +
                             report + " > /dev/null 2>&1";
     ASSERT_EQ(run_cmd("(" + one + " & " + one + " & wait)"), 0);
     const std::string bytes = slurp(report);

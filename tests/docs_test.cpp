@@ -7,13 +7,17 @@
 // fenced by `<!-- schema:NAME -->` / `<!-- /schema -->` markers). Adding a
 // spec key without a doc row — or documenting a key the parser would
 // reject — fails here, which is what keeps the schema reference honest.
+// A second check holds the docs' `./build/<prog>` commands to the
+// executables the build defines.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/scenario_spec.hpp"
 #include "util/json.hpp"
@@ -143,4 +147,42 @@ TEST(DocsSchema, ParserStaysStrict) {
   campaign.set("cycels", 42);  // the canonical typo
   EXPECT_THROW(core::record_accepted_keys(campaign), std::invalid_argument);
   EXPECT_THROW(core::CampaignSpec::from_json(campaign), std::invalid_argument);
+}
+
+// Every `./build/<prog>` command the docs show must name an executable
+// CMakeLists.txt defines (RAZORBUS_EXECUTABLES, space-separated), so a
+// deleted or renamed binary cannot stay documented.
+TEST(DocsCommands, BuildCommandsNameDefinedExecutables) {
+  std::set<std::string> executables;
+  std::istringstream names(RAZORBUS_EXECUTABLES);
+  for (std::string name; names >> name;) executables.insert(name);
+  ASSERT_TRUE(executables.count("campaignd")) << RAZORBUS_EXECUTABLES;
+
+  const std::string root = RAZORBUS_SOURCE_DIR;
+  std::vector<std::string> docs = {root + "/README.md", root + "/DESIGN.md"};
+  for (const auto& entry : std::filesystem::directory_iterator(root + "/docs"))
+    if (entry.path().extension() == ".md") docs.push_back(entry.path().string());
+
+  const std::string prefix = "./build/";
+  const std::string name_chars =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_";
+  std::size_t checked = 0;
+  for (const std::string& doc : docs) {
+    std::ifstream in(doc);
+    ASSERT_TRUE(static_cast<bool>(in)) << doc;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string body = text.str();
+    for (auto at = body.find(prefix); at != std::string::npos;
+         at = body.find(prefix, at + 1)) {
+      const auto start = at + prefix.size();
+      const std::string program =
+          body.substr(start, body.find_first_not_of(name_chars, start) - start);
+      EXPECT_TRUE(executables.count(program))
+          << doc << " runs ./build/" << program
+          << ", which CMakeLists.txt does not define";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }

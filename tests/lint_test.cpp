@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,15 @@ TEST(NoWallclock, WhitelistedBenchTimerPathIsExempt) {
   // the bench harness is SUPPOSED to read steady_clock.
   const auto diags = lint_as("wallclock_bad.cpp", "bench/bench_common.cpp");
   EXPECT_EQ(count_rule(diags, "no-wallclock"), 0) << render(diags);
+}
+
+TEST(NoWallclock, EveryWhitelistedPathExists) {
+  // A whitelist entry outlives its file silently and would exempt whatever
+  // later takes its name: every entry must name a file in the tree.
+  for (const std::string& path : razorlint::wallclock_whitelist())
+    EXPECT_TRUE(std::filesystem::is_regular_file(std::string(RAZORBUS_SOURCE_DIR) + "/" +
+                                                 path))
+        << path;
 }
 
 // ------------------------------------------------------------ no-raw-random

@@ -513,7 +513,6 @@ const std::vector<std::string>& wallclock_whitelist() {
   static const std::vector<std::string> kPaths = {
       "bench/bench_common.cpp",       // the shared bench runner's wall timer
       "bench/scenarios/engine.cpp",   // engine cycles/sec measurement
-      "bench/campaign.cpp",           // campaign wall-clock accounting
   };
   return kPaths;
 }

@@ -20,30 +20,21 @@ namespace razorbus::bench {
 namespace {
 
 // The bus system a declarative job runs on: the paper bus at the job's
-// width, characterised adaptively when the job sets `lut_tolerance`. The
-// characterised tables are width-independent, so every width shares the
-// paper system's cached characterization (DESIGN.md §10); adaptive tables
-// additionally share the design's point store, so a dense table and an
-// adaptive one re-simulate nothing in common.
-const core::DvsBusSystem& system_for_job(int width, double lut_tolerance) {
-  if (width == 32 && lut_tolerance <= 0.0) return paper_system();
+// width. The characterised tables are width-independent, so every width
+// shares the paper system's cached characterization (DESIGN.md §10).
+const core::DvsBusSystem& system_for_job(int width) {
+  if (width == 32) return paper_system();
   // Keyed cache rather than a single slot: a multi_bus job builds one
   // system per distinct lane width and holds references to ALL of them for
   // the whole run, so earlier entries must survive later constructions.
-  static std::map<std::string, std::unique_ptr<core::DvsBusSystem>> cache;
-  const std::string key =
-      std::to_string(width) + ":" + std::to_string(lut_tolerance);
-  auto it = cache.find(key);
+  static std::map<int, std::unique_ptr<core::DvsBusSystem>> cache;
+  auto it = cache.find(width);
   if (it == cache.end()) {
-    interconnect::BusDesign design = width == 32
-                                         ? paper_system().design()
-                                         : interconnect::BusDesign::wide_bus(width);
+    interconnect::BusDesign design = interconnect::BusDesign::wide_bus(width);
     design.repeater_size = paper_system().design().repeater_size;
-    core::SystemOptions options = options_with_progress("campaign bus");
-    options.lut_config =
-        core::lut_config_for_tolerance(lut_tolerance, options.lut_config);
     it = cache
-             .emplace(key, std::make_unique<core::DvsBusSystem>(design, options))
+             .emplace(width, std::make_unique<core::DvsBusSystem>(
+                                 design, options_with_progress("campaign bus")))
              .first;
   }
   return *it->second;
@@ -133,7 +124,7 @@ std::string corner_key(const tech::PvtCorner& corner) {
 }
 
 void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
-  const auto& system = system_for_job(spec.widths.at(0), spec.lut_tolerance);
+  const auto& system = system_for_job(spec.widths.at(0));
   const core::ControllerSpec& controller = spec.controllers.at(0);
   const auto sources = sources_for(spec.trace, spec.widths.at(0), ctx.cycles,
                                    spec.bus_invert, spec.stream);
@@ -218,8 +209,6 @@ void run_closed_loop_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   ctx.note("width", std::to_string(spec.widths.at(0)));
   ctx.note("trace_mode", spec.stream ? "streamed" : "materialized");
   if (spec.drift.enabled) ctx.note("drift", "enabled");
-  if (spec.lut_tolerance > 0.0)
-    ctx.note("lut_tolerance", std::to_string(spec.lut_tolerance));
   if (spec.stream) record_stream_stats(ctx, stream_stats);
 }
 
@@ -231,8 +220,7 @@ void run_multi_bus_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   std::vector<sys::BusLane> lanes;
   lanes.reserve(spec.buses.size());
   for (const auto& lane_spec : spec.buses)
-    lanes.push_back(
-        {&system_for_job(lane_spec.width, spec.lut_tolerance), lane_spec.weight});
+    lanes.push_back({&system_for_job(lane_spec.width), lane_spec.weight});
   const sys::BusSystem system(std::move(lanes));
 
   sys::SystemRunConfig cfg;
@@ -284,13 +272,11 @@ void run_multi_bus_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
   ctx.note("engine", bus::to_string(spec.engine));
   ctx.note("trace_mode", spec.stream ? "streamed" : "materialized");
   if (spec.drift.enabled) ctx.note("drift", "enabled");
-  if (spec.lut_tolerance > 0.0)
-    ctx.note("lut_tolerance", std::to_string(spec.lut_tolerance));
   if (spec.stream) record_stream_stats(ctx, stream_stats);
 }
 
 void run_static_sweep_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) {
-  const auto& system = system_for_job(spec.widths.at(0), spec.lut_tolerance);
+  const auto& system = system_for_job(spec.widths.at(0));
   // A suite sweeps its traces back to back: their concatenation.
   auto parts = sources_for(spec.trace, spec.widths.at(0), ctx.cycles, spec.bus_invert,
                            spec.stream);
@@ -321,8 +307,6 @@ void run_static_sweep_job(const core::ScenarioSpec& spec, ScenarioContext& ctx) 
   ctx.note("engine", bus::to_string(spec.engine));
   ctx.note("width", std::to_string(spec.widths.at(0)));
   ctx.note("trace_mode", spec.stream ? "streamed" : "materialized");
-  if (spec.lut_tolerance > 0.0)
-    ctx.note("lut_tolerance", std::to_string(spec.lut_tolerance));
   if (spec.stream) record_stream_stats(ctx, stream_stats);
 }
 

@@ -341,26 +341,19 @@ void parallel_showdown(ScenarioContext& ctx) {
                 std::min(char_speedup, sweep_speedup), threads);
 }
 
-// Characterization-cost trajectory (docs/characterization.md): transient
-// runs of the dense build vs the adaptive build at the default tolerance
-// on one (corner, temperature) of the paper grid, plus a warm rebuild
-// against the populated point store — which must perform ZERO transient
-// runs, since every candidate point is already stored. Runs inside an
-// isolated RAZORBUS_CACHE_DIR so the process's real cache is untouched.
-// `lut_build_sims` / `lut_warm_sims` are gated as COST keys (more sims =
+// Characterization cost (docs/characterization.md): transient runs of a
+// cold dense build of one (corner, temperature) of the paper grid, plus a
+// warm rebuild against the populated point store — which must perform
+// ZERO transient runs, since every grid point is already stored. Runs
+// inside an isolated RAZORBUS_CACHE_DIR so the process's real cache is
+// untouched. `lut_warm_sims` is gated as a COST key (more sims =
 // regression) and `lut_build_cps` as throughput.
 void characterization_showdown(ScenarioContext& ctx) {
   const auto& system = paper_system();
 
-  lut::LutConfig dense_cfg;  // paper voltage range, one corner and temp
-  dense_cfg.temps = {100.0};
-  dense_cfg.corners = {tech::ProcessCorner::typical};
-  lut::BuildStats dense_stats;
-  lut::DelayEnergyTable::build(system.design(), system.driver(), dense_cfg, {}, nullptr,
-                               &dense_stats);
-
-  const lut::LutConfig adaptive_cfg =
-      core::lut_config_for_tolerance(core::kDefaultLutTolerance, dense_cfg);
+  lut::LutConfig cfg;  // paper voltage range, one corner and temp
+  cfg.temps = {100.0};
+  cfg.corners = {tech::ProcessCorner::typical};
 
   const char* prev_env = std::getenv("RAZORBUS_CACHE_DIR");
   const std::string prev_dir = prev_env ? prev_env : "";
@@ -369,22 +362,22 @@ void characterization_showdown(ScenarioContext& ctx) {
   std::filesystem::remove_all(tmp_dir, ec);
   setenv("RAZORBUS_CACHE_DIR", tmp_dir.c_str(), 1);
 
-  // Cold: empty point store, every kept point costs a transient run.
+  // Cold: empty point store, every grid point costs its transient runs.
   lut::BuildStats cold_stats;
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
-  lut::build_or_load(system.design(), system.driver(), adaptive_cfg, {}, &cold_stats);
+  lut::build_or_load(system.design(), system.driver(), cfg, {}, &cold_stats);
   const double cold_s = std::chrono::duration<double>(clock::now() - t0).count();
 
-  // Warm: the same campaign re-characterised against the populated store
+  // Warm: the same table re-characterised against the populated store
   // (a fresh process whose table cache was pruned, say). Built directly —
   // not via build_or_load, whose memo/disk hits would trivially skip the
   // build — so every point goes through the store.
   const auto store = lut::PointStore::open(lut::cache_directory(),
                                            lut::design_content_hash(system.design()));
   lut::BuildStats warm_stats;
-  lut::DelayEnergyTable::build(system.design(), system.driver(), adaptive_cfg, {},
-                               store.get(), &warm_stats);
+  lut::DelayEnergyTable::build(system.design(), system.driver(), cfg, {}, store.get(),
+                               &warm_stats);
 
   if (prev_env)
     setenv("RAZORBUS_CACHE_DIR", prev_dir.c_str(), 1);
@@ -392,36 +385,23 @@ void characterization_showdown(ScenarioContext& ctx) {
     unsetenv("RAZORBUS_CACHE_DIR");
   std::filesystem::remove_all(tmp_dir, ec);
 
-  const auto dense_sims = static_cast<double>(dense_stats.transient_sims);
   const auto cold_sims = static_cast<double>(cold_stats.transient_sims);
-  const double ratio = dense_sims > 0.0 ? cold_sims / dense_sims : 0.0;
-  Table table({"Characterization", "Transient sims", "Points", "vs dense"});
-  table.row()
-      .add("dense grid")
-      .add(static_cast<long long>(dense_stats.transient_sims))
-      .add(static_cast<long long>(dense_stats.points))
-      .add(1.0, 2);
-  table.row()
-      .add("adaptive (tol 2%)")
-      .add(static_cast<long long>(cold_stats.transient_sims))
-      .add(static_cast<long long>(cold_stats.points))
-      .add(ratio, 2);
-  table.row()
-      .add("adaptive, warm store")
-      .add(static_cast<long long>(warm_stats.transient_sims))
-      .add(static_cast<long long>(warm_stats.points))
-      .add(0.0, 2);
+  Table table({"Characterization", "Transient sims", "Store hits", "Points"});
+  const auto add_row = [&table](const char* label, const lut::BuildStats& stats) {
+    table.row()
+        .add(label)
+        .add(static_cast<long long>(stats.transient_sims))
+        .add(static_cast<long long>(stats.store_hits))
+        .add(static_cast<long long>(stats.points));
+  };
+  add_row("dense, cold", cold_stats);
+  add_row("dense, warm store", warm_stats);
   ctx.table("characterization_cost", table);
 
-  ctx.metric("lut_build_dense_sims", dense_sims);
-  ctx.metric("lut_build_sims", cold_sims);
   ctx.metric("lut_build_cps", cold_s > 0.0 ? cold_sims / cold_s : 0.0);
   ctx.metric("lut_warm_sims", static_cast<double>(warm_stats.transient_sims));
   ctx.metric("lut_warm_store_hits", static_cast<double>(warm_stats.store_hits));
 
-  if (ratio > 0.5)
-    std::printf("WARNING: adaptive build used %.0f%% of dense sims (budget 50%%)\n",
-                100.0 * ratio);
   if (warm_stats.transient_sims > 0)
     std::printf("WARNING: warm rebuild performed %llu transient sims (expected 0)\n",
                 static_cast<unsigned long long>(warm_stats.transient_sims));

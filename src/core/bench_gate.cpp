@@ -16,7 +16,7 @@ bool has_suffix(const std::string& key, const std::string& suffix) {
 bool is_throughput_key(const std::string& key) { return has_suffix(key, "_cps"); }
 
 // Cost convention: transient-run counts of the characterization build
-// ("lut_build_sims" and friends). Lower is better, so the regression
+// ("lut_warm_sims" and friends). Lower is better, so the regression
 // predicate is inverted relative to throughput keys.
 bool is_cost_key(const std::string& key) { return has_suffix(key, "_sims"); }
 

@@ -12,15 +12,6 @@
 
 namespace razorbus::core {
 
-lut::LutConfig lut_config_for_tolerance(double tol, lut::LutConfig base) {
-  if (tol > 0.0) {
-    base.tolerance.relative = tol;
-    base.tolerance.delay_abs_s = tol * 1e-10;
-    base.tolerance.energy_abs_j = tol * 1e-13;
-  }
-  return base;
-}
-
 namespace {
 
 // Resident traces as sources: the BlockReader serves each view straight

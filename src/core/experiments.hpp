@@ -137,19 +137,6 @@ struct WindowSample {
   double error_rate = 0.0;  // of the closed window
 };
 
-// Default relative tolerance for adaptive characterization when a scenario
-// opts in via the `lut_tolerance` key: a 2% interpolation-error envelope,
-// well under the run-to-run spread of the closed-loop metrics it feeds.
-constexpr double kDefaultLutTolerance = 0.02;
-
-// Maps the scalar scenario tolerance onto full LutTolerance bounds: the
-// relative envelope is `tol` itself, and the absolute floors (which stop
-// refinement from chasing noise where delay or energy approach zero) scale
-// with it — tol * 1e-10 s and tol * 1e-13 J, roughly `tol` relative to a
-// nominal-supply worst-class delay/energy. `tol <= 0` leaves `base`
-// untouched (dense characterization).
-lut::LutConfig lut_config_for_tolerance(double tol, lut::LutConfig base = {});
-
 struct DvsRunConfig {
   dvs::ControllerConfig controller{};
   std::uint64_t regulator_delay_cycles = 3000;  // 2 us at 1.5 GHz

@@ -36,7 +36,7 @@ std::string job_identity(const ScenarioJob& job);
 
 // FNV-1a of job_identity(): the result-cache key. Any field change in the
 // resolved spec — cycles, seed, width, controller tuning, engine, stream
-// mode, lut_tolerance, ... — yields a new hash.
+// mode, drift schedule, ... — yields a new hash.
 std::uint64_t job_content_hash(const ScenarioJob& job);
 
 // 16-digit lowercase hex of job_content_hash(); used for cache entry and

@@ -548,9 +548,6 @@ ScenarioSpec ScenarioSpec::from_json(const Json& json) {
 
   spec.stream = f.get_bool("stream", false);
 
-  spec.lut_tolerance = f.get_double("lut_tolerance", 0.0);
-  if (spec.lut_tolerance < 0.0) bad_spec("scenario", "'lut_tolerance' must be >= 0");
-
   if (const Json* drift = f.find("drift")) {
     if (spec.kind == Kind::static_sweep)
       bad_spec("scenario",
@@ -604,7 +601,6 @@ Json ScenarioSpec::to_json() const {
     j.set("engine", bus::to_string(engine));
     if (timing_jitter_sigma > 0.0) j.set("timing_jitter_sigma", timing_jitter_sigma);
     if (stream) j.set("stream", true);
-    if (lut_tolerance > 0.0) j.set("lut_tolerance", lut_tolerance);
     if (drift.enabled) j.set("drift", drift.to_json());
   }
   if (cycles > 0) j.set("cycles", static_cast<long long>(cycles));

@@ -103,13 +103,6 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
   name << dir << "/lut_" << std::hex << hash << ".bin";
   const std::string path = name.str();
 
-  // The design's shared point store: loads answer nothing from it, but
-  // tables loaded from disk still attach the lazy refiner to it, and
-  // builds fetch every already-simulated point instead of re-running the
-  // transient solver.
-  const std::shared_ptr<PointStore> store =
-      PointStore::open(dir, design_content_hash(design));
-
   // A valid published table, memoised, or nothing.
   auto load_published = [&]() -> std::optional<DelayEnergyTable> {
     {
@@ -121,17 +114,19 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
     if (!in) return std::nullopt;
     auto table = DelayEnergyTable::load(in, hash);
     if (!table) return std::nullopt;
-    table->attach_refiner(design, driver, store);  // no-op for dense tables
     util::MutexLock lock(g_memo_mutex);
     // emplace keeps the incumbent if another thread raced us here; both
     // tables are bit-identical (same key), so either copy is the answer.
     return g_memo.emplace(key, *std::move(table)).first->second;
   };
   auto build_and_publish = [&] {
+    // Only a build needs the design's shared point store: it fetches every
+    // already-simulated point instead of re-running the transient solver.
+    const std::shared_ptr<PointStore> store =
+        PointStore::open(dir, design_content_hash(design));
     DelayEnergyTable table =
         DelayEnergyTable::build(design, driver, config, progress, store.get(), stats);
     store->flush();
-    table.attach_refiner(design, driver, store);
     write_cache_file(path, table, hash);
     util::MutexLock lock(g_memo_mutex);
     return g_memo.emplace(key, std::move(table)).first->second;

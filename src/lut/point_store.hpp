@@ -9,9 +9,8 @@
 // voltage, class) and persists the accumulated points per design in the
 // cache directory. Tables then characterise only the points they are
 // missing: a second campaign whose grid overlaps a first one performs
-// zero redundant transient runs, and adaptive refinement
-// (docs/characterization.md) can extend a table below its sweep range
-// without re-paying for anything already simulated.
+// zero redundant transient runs, and a lost table file rebuilds without
+// re-paying for anything already simulated (docs/characterization.md).
 //
 // The store holds RAW ClusterResult quantities (delay as the simulator
 // reported it, including the -1.0 "victim did not switch" convention).
@@ -60,8 +59,8 @@ struct Fnv1a {
 // node electricals, parasitics, geometry, repeater sizing, the RC section
 // discretisation and the simulator version. Deliberately EXCLUDES n_bits
 // and shield_group (the 3-wire cluster sees one wire's electricals, so all
-// bus widths share points — DESIGN.md §10) and the LUT grid/tolerance
-// (those choose WHICH points exist, not their values).
+// bus widths share points — DESIGN.md §10) and the LUT grid (it chooses
+// WHICH points exist, not their values).
 std::uint64_t design_content_hash(const interconnect::BusDesign& design);
 
 // Content key of one simulated point under a design hash.

@@ -1,14 +1,14 @@
 #include "lut/table.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <istream>
+#include <iterator>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <stdexcept>
-#include <tuple>
 
 #include "lut/point_store.hpp"
 #include "util/parallel.hpp"
@@ -19,14 +19,10 @@ namespace razorbus::lut {
 namespace {
 
 constexpr char kMagic[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '2'};
-// Adaptive tables (non-uniform breakpoint bands) use their own magic so a
-// dense cache file and an adaptive one can never be confused for each
-// other. Dense files stay bit-identical to the RBLUT002 format.
-constexpr char kMagicAdaptive[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '3'};
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-constexpr std::size_t kClassCount = static_cast<std::size_t>(PatternClass::kCount);
-
-const tech::SupplyBreakpoints kEmptyAxis{};
+// A loaded header naming more grid voltages than this is corrupt (the
+// paper grid has 28; this allows a 1 mV step over 4 V).
+constexpr double kMaxGridPoints = 4096.0;
 
 // Linear interpolation helper shared by delay() / energy() / slice().
 double lerp(double a, double b, double f) {
@@ -89,12 +85,11 @@ interconnect::ClusterResult simulate_or_fetch(
   return characterizer.run(spec);
 }
 
-// Characterise every pattern class at one (corner, temp, voltage): the
-// same per-class policy as the dense builder — quiet canonical classes
-// get zero energy, non-conducting points get infinite delay with no
-// simulation, mirrors are copied — factored out so the adaptive builder
-// and the lazy refiner produce bit-identical values. `per_unit` (optional)
-// is invoked once per completed switching canonical class.
+// Characterise every pattern class at one (corner, temp, voltage) — the
+// one copy of the per-class policy: quiet canonical classes get zero
+// energy, non-conducting points get infinite delay with no simulation,
+// mirrors are copied. `per_unit` is invoked once per completed switching
+// canonical class.
 ClassPoint characterize_classes(const interconnect::ClusterCharacterizer& characterizer,
                                 const tech::DriverModel& driver,
                                 tech::ProcessCorner corner, double temp_c, double vdd,
@@ -113,7 +108,7 @@ ClassPoint characterize_classes(const interconnect::ClusterCharacterizer& charac
     if (!conducts) {
       if (PatternClass::victim_switches(cls))
         p.delay[cls] = std::numeric_limits<double>::infinity();
-      if (per_unit) per_unit();
+      per_unit();
       continue;
     }
     interconnect::ClusterSpec spec;
@@ -128,7 +123,7 @@ ClassPoint characterize_classes(const interconnect::ClusterCharacterizer& charac
     if (PatternClass::victim_switches(cls))
       p.delay[cls] = r.delay >= 0.0 ? r.delay : std::numeric_limits<double>::infinity();
     p.energy[cls] = r.victim_energy;
-    if (per_unit) per_unit();
+    per_unit();
   }
   for (int cls = 0; cls < PatternClass::kCount; ++cls) {
     if (PatternClass::is_canonical(cls)) continue;
@@ -148,100 +143,6 @@ int switching_canonical_count() {
 
 }  // namespace
 
-// On-demand extension of an adaptive table below its characterised range.
-// Queries under the band's vmin interpolate between fixed anchor voltages
-// `vmin - j * step` (j = 1..kMaxAnchors, simulated lazily and memoised),
-// instead of clamping as dense tables do. Anchor values are pure functions
-// of (corner, temp, anchor index), so results are independent of query
-// order and thread count (DESIGN.md §9).
-class LazyRefiner {
- public:
-  static constexpr int kMaxAnchors = 64;
-
-  LazyRefiner(const interconnect::BusDesign& design, const tech::DriverModel& driver,
-              std::shared_ptr<PointStore> store,
-              std::vector<tech::ProcessCorner> corners, std::vector<double> temps,
-              double vmin, double step)
-      : characterizer_(design, driver),
-        driver_(driver),
-        store_(std::move(store)),
-        corners_(std::move(corners)),
-        temps_(std::move(temps)),
-        vmin_(vmin),
-        step_(step),
-        design_hash_(design_content_hash(design)) {}
-
-  double delay(int cls, std::size_t ci, std::size_t ti, double v) {
-    const Bracket b = bracket(ci, ti, v);
-    return lerp(b.lo->delay[cls], b.hi->delay[cls], b.frac);
-  }
-
-  double energy(int cls, std::size_t ci, std::size_t ti, double v) {
-    const Bracket b = bracket(ci, ti, v);
-    return lerp(b.lo->energy[cls], b.hi->energy[cls], b.frac);
-  }
-
-  void fill_slice(TableSlice& s, std::size_t ci, std::size_t ti, double v) {
-    const Bracket b = bracket(ci, ti, v);
-    for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-      s.delay[cls] = lerp(b.lo->delay[cls], b.hi->delay[cls], b.frac);
-      s.energy[cls] = lerp(b.lo->energy[cls], b.hi->energy[cls], b.frac);
-    }
-  }
-
-  std::uint64_t transient_sims() const { return counters_.transient_sims.load(); }
-
- private:
-  struct Bracket {
-    const ClassPoint* lo;
-    const ClassPoint* hi;
-    double frac;
-  };
-
-  // Anchor values are inserted once and never mutated, and std::map nodes
-  // are stable, so the returned reference outlives the lock safely.
-  const ClassPoint& anchor(std::size_t ci, std::size_t ti, int j) {
-    util::MutexLock lock(mutex_);
-    const auto key = std::make_tuple(ci, ti, j);
-    const auto it = anchors_.find(key);
-    if (it != anchors_.end()) return it->second;
-    const double vdd = vmin_ - static_cast<double>(j) * step_;
-    ClassPoint p = characterize_classes(characterizer_, driver_, corners_.at(ci),
-                                        temps_.at(ti), vdd, store_.get(), design_hash_,
-                                        counters_, {});
-    return anchors_.emplace(key, p).first->second;
-  }
-
-  Bracket bracket(std::size_t ci, std::size_t ti, double v) {
-    int j = static_cast<int>(std::ceil((vmin_ - v) / step_ - 1e-9));
-    if (j < 1) j = 1;
-    if (j > kMaxAnchors) {
-      // Beyond the deepest anchor: clamp (the driver is far below
-      // conduction there anyway).
-      const ClassPoint& p = anchor(ci, ti, kMaxAnchors);
-      return {&p, &p, 0.0};
-    }
-    const ClassPoint& lo = anchor(ci, ti, j);
-    const ClassPoint& hi = anchor(ci, ti, j - 1);
-    const double v_lo = vmin_ - static_cast<double>(j) * step_;
-    return {&lo, &hi, (v - v_lo) / step_};
-  }
-
-  const interconnect::ClusterCharacterizer characterizer_;
-  const tech::DriverModel driver_;
-  const std::shared_ptr<PointStore> store_;
-  const std::vector<tech::ProcessCorner> corners_;
-  const std::vector<double> temps_;
-  const double vmin_;
-  const double step_;
-  const std::uint64_t design_hash_;
-
-  mutable util::Mutex mutex_;
-  std::map<std::tuple<std::size_t, std::size_t, int>, ClassPoint> anchors_
-      GUARDED_BY(mutex_);
-  CostCounters counters_;
-};
-
 std::uint64_t table_key_hash(const interconnect::BusDesign& design,
                              const LutConfig& config) {
   // Design/model/simulator content (including the n_bits / shield_group
@@ -253,15 +154,6 @@ std::uint64_t table_key_hash(const interconnect::BusDesign& design,
   for (double v : {config.vmin, config.vmax, config.vstep}) fnv.mix_double(v);
   for (double t : config.temps) fnv.mix_double(t);
   for (auto c : config.corners) fnv.mix_int(static_cast<std::int64_t>(c));
-  if (config.tolerance.enabled()) {
-    // Only mixed when adaptive: dense configs keep one stable key whether
-    // or not the tolerance struct exists in this build of the library.
-    const LutTolerance& tol = config.tolerance;
-    fnv.mix_int(3);  // adaptive format revision (matches RBLUT003)
-    for (double v : {tol.relative, tol.delay_abs_s, tol.energy_abs_j, tol.min_step})
-      fnv.mix_double(v);
-    fnv.mix_int(tol.seed_intervals);
-  }
   return fnv.h;
 }
 
@@ -270,9 +162,6 @@ DelayEnergyTable DelayEnergyTable::build(const interconnect::BusDesign& design,
                                          const LutConfig& config,
                                          const std::function<void(int, int)>& progress,
                                          PointStore* store, BuildStats* stats) {
-  if (config.tolerance.enabled())
-    return build_adaptive(design, driver, config, progress, store, stats);
-
   DelayEnergyTable table;
   table.grid_ = config.reference_grid();
   table.temps_ = config.temps;
@@ -280,8 +169,8 @@ DelayEnergyTable DelayEnergyTable::build(const interconnect::BusDesign& design,
   const std::size_t total_slots =
       table.corners_.size() * table.temps_.size() * table.grid_.size() *
       static_cast<std::size_t>(PatternClass::kCount);
-  table.delays_.assign(total_slots, kNan);
-  table.energies_.assign(total_slots, 0.0);
+  table.delays_.resize(total_slots);
+  table.energies_.resize(total_slots);
 
   const interconnect::ClusterCharacterizer characterizer(design, driver);
   const std::uint64_t design_hash = design_content_hash(design);
@@ -303,225 +192,37 @@ DelayEnergyTable DelayEnergyTable::build(const interconnect::BusDesign& design,
   // disjoint memory and the table contents are bit-identical at any thread
   // count (DESIGN.md §9).
   const std::size_t points_per_corner = table.temps_.size() * table.grid_.size();
+  const std::function<void()> per_unit = [&]() {
+    const int now_done = ++done;
+    if (progress) {
+      // Report only monotonically increasing counts: two shards can
+      // increment in one order and acquire this mutex in the other, and
+      // progress printers assume done never goes backwards. The shard that
+      // increments to `total` always reports it.
+      util::MutexLock lock(progress_mutex);
+      if (now_done > reported) {
+        reported = now_done;
+        progress(now_done, total);
+      }
+    }
+  };
   util::global_pool().parallel_for(
       table.corners_.size() * points_per_corner, [&](std::size_t point) {
         const std::size_t ci = point / points_per_corner;
         const std::size_t ti = (point % points_per_corner) / table.grid_.size();
         const std::size_t vi = point % table.grid_.size();
-        const double vdd = table.grid_.voltage(vi);
-        const bool conducts =
-            driver.conducts(table.corners_[ci], table.temps_[ti], vdd);
-        for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-          if (!PatternClass::is_canonical(cls)) continue;
-          const std::size_t idx = table.flat_index(ci, ti, vi, cls);
-          if (!PatternClass::any_switching(cls)) {
-            table.energies_[idx] = 0.0;  // quiet cycle: no dynamic energy
-            continue;
-          }
-          if (!conducts) {
-            // Below the conduction limit the wire cannot switch in any
-            // bounded time; mark as unreachable (infinite delay).
-            if (PatternClass::victim_switches(cls))
-              table.delays_[idx] = std::numeric_limits<double>::infinity();
-            table.energies_[idx] = 0.0;
-            ++done;
-            continue;
-          }
-
-          interconnect::ClusterSpec spec;
-          spec.victim = to_wire_activity(PatternClass::victim_of(cls));
-          spec.left = to_wire_activity(PatternClass::left_of(cls));
-          spec.right = to_wire_activity(PatternClass::right_of(cls));
-          spec.vdd = vdd;
-          spec.corner = table.corners_[ci];
-          spec.temp_c = table.temps_[ti];
-          const interconnect::ClusterResult r =
-              simulate_or_fetch(characterizer, spec, cls, store, design_hash, counters);
-
-          if (PatternClass::victim_switches(cls))
-            table.delays_[idx] =
-                r.delay >= 0.0 ? r.delay : std::numeric_limits<double>::infinity();
-          table.energies_[idx] = r.victim_energy;
-          const int now_done = ++done;
-          if (progress) {
-            // Report only monotonically increasing counts: two shards can
-            // increment in one order and acquire this mutex in the other,
-            // and progress printers assume done never goes backwards. The
-            // shard that increments to `total` always reports it.
-            util::MutexLock lock(progress_mutex);
-            if (now_done > reported) {
-              reported = now_done;
-              progress(now_done, total);
-            }
-          }
-        }
-        // Mirror non-canonical classes.
-        for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-          if (PatternClass::is_canonical(cls)) continue;
-          const std::size_t src =
-              table.flat_index(ci, ti, vi, PatternClass::canonical(cls));
-          const std::size_t dst = table.flat_index(ci, ti, vi, cls);
-          table.delays_[dst] = table.delays_[src];
-          table.energies_[dst] = table.energies_[src];
-        }
+        const ClassPoint p = characterize_classes(
+            characterizer, driver, table.corners_[ci], table.temps_[ti],
+            table.grid_.voltage(vi), store, design_hash, counters, per_unit);
+        const std::size_t base = table.flat_index(ci, ti, vi, 0);
+        std::copy(std::begin(p.delay), std::end(p.delay), table.delays_.begin() + base);
+        std::copy(std::begin(p.energy), std::end(p.energy),
+                  table.energies_.begin() + base);
       });
   if (stats) {
     stats->transient_sims = counters.transient_sims.load();
     stats->store_hits = counters.store_hits.load();
     stats->points = table.corners_.size() * points_per_corner;
-  }
-  return table;
-}
-
-DelayEnergyTable DelayEnergyTable::build_adaptive(
-    const interconnect::BusDesign& design, const tech::DriverModel& driver,
-    const LutConfig& config, const std::function<void(int, int)>& progress,
-    PointStore* store, BuildStats* stats) {
-  DelayEnergyTable table;
-  table.grid_ = config.reference_grid();
-  table.temps_ = config.temps;
-  table.corners_ = config.corners;
-  const std::size_t n_bands = table.corners_.size() * table.temps_.size();
-  table.bands_.resize(n_bands);
-
-  const interconnect::ClusterCharacterizer characterizer(design, driver);
-  const std::uint64_t design_hash = design_content_hash(design);
-  const LutTolerance& tol = config.tolerance;
-  CostCounters counters;
-  std::atomic<std::uint64_t> points_done{0};
-
-  // Progress is reported against the dense-grid upper bound so callers see
-  // the same scale in both modes; adaptive builds finish early and close
-  // with one final (total, total) report.
-  const int sims_per_point = switching_canonical_count();
-  const int total =
-      static_cast<int>(n_bands * table.grid_.size()) * sims_per_point;
-  std::atomic<int> done{0};
-  util::Mutex progress_mutex;
-  int reported = 0;
-
-  const std::size_t n = table.grid_.size();
-
-  // One shard per (corner, temperature) band: each shard owns its
-  // bands_[bi] slot exclusively, and the recursion inside a band is
-  // sequential, so the chosen breakpoints and their values are
-  // bit-identical at any thread count (DESIGN.md §9).
-  util::global_pool().parallel_for(n_bands, [&](std::size_t bi) {
-    const std::size_t ci = bi / table.temps_.size();
-    const std::size_t ti = bi % table.temps_.size();
-    const tech::ProcessCorner corner = table.corners_[ci];
-    const double temp_c = table.temps_[ti];
-
-    const auto per_unit = [&]() {
-      const int now_done = ++done;
-      if (progress) {
-        util::MutexLock lock(progress_mutex);
-        if (now_done > reported) {
-          reported = now_done;
-          progress(now_done, total);
-        }
-      }
-    };
-
-    // Candidate voltages are exactly the reference grid's indices:
-    // tolerance -> 0 refines every index and reproduces the dense table
-    // bit-identically, and point-store keys match across configs whose
-    // grids share voltages.
-    std::map<std::size_t, ClassPoint> pts;
-    const auto ensure = [&](std::size_t vi) -> const ClassPoint& {
-      const auto it = pts.find(vi);
-      if (it != pts.end()) return it->second;
-      ClassPoint p =
-          characterize_classes(characterizer, driver, corner, temp_c,
-                               table.grid_.voltage(vi), store, design_hash,
-                               counters, per_unit);
-      ++points_done;
-      return pts.emplace(vi, p).first->second;
-    };
-
-    // Accept [lo, hi] when the simulated midpoint is inside the tolerance
-    // envelope of the chord for EVERY switching canonical class. Infinite
-    // (non-conducting) delays pass only when lo, mid and hi all agree —
-    // a finite/infinite mix means the conduction boundary is inside the
-    // interval and must be localised.
-    const auto interval_ok = [&](std::size_t lo, std::size_t mid, std::size_t hi) {
-      const ClassPoint& a = pts.at(lo);
-      const ClassPoint& m = pts.at(mid);
-      const ClassPoint& b = pts.at(hi);
-      const double v_lo = table.grid_.voltage(lo);
-      const double f =
-          (table.grid_.voltage(mid) - v_lo) / (table.grid_.voltage(hi) - v_lo);
-      for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-        if (!PatternClass::is_canonical(cls)) continue;
-        if (!PatternClass::any_switching(cls)) continue;
-        const double es = m.energy[cls];
-        const double ei = a.energy[cls] + (b.energy[cls] - a.energy[cls]) * f;
-        if (std::abs(es - ei) > tol.energy_abs_j + tol.relative * std::abs(es))
-          return false;
-        if (!PatternClass::victim_switches(cls)) continue;
-        const double dl = a.delay[cls];
-        const double dh = b.delay[cls];
-        const double dm = m.delay[cls];
-        if (std::isinf(dl) || std::isinf(dh) || std::isinf(dm)) {
-          if (!(std::isinf(dl) && std::isinf(dh) && std::isinf(dm))) return false;
-          continue;
-        }
-        const double di = dl + (dh - dl) * f;
-        if (std::abs(dm - di) > tol.delay_abs_s + tol.relative * std::abs(dm))
-          return false;
-      }
-      return true;
-    };
-
-    const std::function<void(std::size_t, std::size_t)> refine =
-        [&](std::size_t lo, std::size_t hi) {
-          if (hi - lo < 2) return;  // grid resolution reached
-          if (tol.min_step > 0.0 &&
-              table.grid_.voltage(hi) - table.grid_.voltage(lo) < 2.0 * tol.min_step)
-            return;
-          const std::size_t mid = lo + (hi - lo) / 2;
-          ensure(mid);  // probe cost is paid; the point is kept either way
-          if (interval_ok(lo, mid, hi)) return;
-          refine(lo, mid);
-          refine(mid, hi);
-        };
-
-    const int seed_intervals = tol.seed_intervals > 0 ? tol.seed_intervals : 1;
-    std::vector<std::size_t> seeds;
-    for (int j = 0; j <= seed_intervals; ++j) {
-      const auto vi = n == 1
-                          ? std::size_t{0}
-                          : static_cast<std::size_t>(std::llround(
-                                static_cast<double>(j) * static_cast<double>(n - 1) /
-                                static_cast<double>(seed_intervals)));
-      if (seeds.empty() || vi != seeds.back()) seeds.push_back(vi);
-    }
-    for (const std::size_t vi : seeds) ensure(vi);
-    for (std::size_t k = 0; k + 1 < seeds.size(); ++k) refine(seeds[k], seeds[k + 1]);
-
-    Band& band = table.bands_[bi];
-    std::vector<double> voltages;
-    voltages.reserve(pts.size());
-    band.delays.reserve(pts.size() * kClassCount);
-    band.energies.reserve(pts.size() * kClassCount);
-    for (const auto& [vi, p] : pts) {  // std::map: ascending voltage order
-      voltages.push_back(table.grid_.voltage(vi));
-      for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-        band.delays.push_back(p.delay[cls]);
-        band.energies.push_back(p.energy[cls]);
-      }
-    }
-    band.points = tech::SupplyBreakpoints(std::move(voltages));
-  });
-
-  if (progress) {
-    util::MutexLock lock(progress_mutex);
-    if (reported < total) progress(total, total);
-  }
-  if (stats) {
-    stats->transient_sims = counters.transient_sims.load();
-    stats->store_hits = counters.store_hits.load();
-    stats->points = points_done.load();
   }
   return table;
 }
@@ -545,29 +246,10 @@ std::size_t DelayEnergyTable::flat_index(std::size_t corner, std::size_t temp,
          static_cast<std::size_t>(cls);
 }
 
-const DelayEnergyTable::Band& DelayEnergyTable::band(std::size_t corner_idx,
-                                                     std::size_t temp_idx) const {
-  return bands_.at(corner_idx * temps_.size() + temp_idx);
-}
-
-const tech::SupplyBreakpoints& DelayEnergyTable::breakpoints(
-    std::size_t corner_idx, std::size_t temp_idx) const {
-  if (bands_.empty()) return kEmptyAxis;
-  return band(corner_idx, temp_idx).points;
-}
-
 double DelayEnergyTable::delay(int cls, tech::ProcessCorner corner, double temp_c,
                                double v) const {
   const std::size_t ci = corner_index(corner);
   const std::size_t ti = temp_index(temp_c);
-  if (!bands_.empty()) {
-    const Band& b = band(ci, ti);
-    if (refiner_ && v < b.points.vmin()) return refiner_->delay(cls, ci, ti, v);
-    const auto seg = b.points.locate(v);
-    return lerp(b.delays[seg.lo * kClassCount + static_cast<std::size_t>(cls)],
-                b.delays[seg.hi * kClassCount + static_cast<std::size_t>(cls)],
-                seg.frac);
-  }
   const InterpPoint p = interp_point(grid_, v);
   return lerp(delays_[flat_index(ci, ti, p.lo, cls)],
               delays_[flat_index(ci, ti, p.hi, cls)], p.frac);
@@ -577,14 +259,6 @@ double DelayEnergyTable::energy(int cls, tech::ProcessCorner corner, double temp
                                 double v) const {
   const std::size_t ci = corner_index(corner);
   const std::size_t ti = temp_index(temp_c);
-  if (!bands_.empty()) {
-    const Band& b = band(ci, ti);
-    if (refiner_ && v < b.points.vmin()) return refiner_->energy(cls, ci, ti, v);
-    const auto seg = b.points.locate(v);
-    return lerp(b.energies[seg.lo * kClassCount + static_cast<std::size_t>(cls)],
-                b.energies[seg.hi * kClassCount + static_cast<std::size_t>(cls)],
-                seg.frac);
-  }
   const InterpPoint p = interp_point(grid_, v);
   return lerp(energies_[flat_index(ci, ti, p.lo, cls)],
               energies_[flat_index(ci, ti, p.hi, cls)], p.frac);
@@ -595,22 +269,6 @@ TableSlice DelayEnergyTable::slice(tech::ProcessCorner corner, double temp_c,
   const std::size_t ci = corner_index(corner);
   const std::size_t ti = temp_index(temp_c);
   TableSlice s{};
-  if (!bands_.empty()) {
-    const Band& b = band(ci, ti);
-    if (refiner_ && v < b.points.vmin()) {
-      refiner_->fill_slice(s, ci, ti, v);
-      return s;
-    }
-    const auto seg = b.points.locate(v);
-    for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-      const std::size_t c = static_cast<std::size_t>(cls);
-      s.delay[cls] = lerp(b.delays[seg.lo * kClassCount + c],
-                          b.delays[seg.hi * kClassCount + c], seg.frac);
-      s.energy[cls] = lerp(b.energies[seg.lo * kClassCount + c],
-                           b.energies[seg.hi * kClassCount + c], seg.frac);
-    }
-    return s;
-  }
   const InterpPoint p = interp_point(grid_, v);
   for (int cls = 0; cls < PatternClass::kCount; ++cls) {
     s.delay[cls] = lerp(delays_[flat_index(ci, ti, p.lo, cls)],
@@ -629,14 +287,6 @@ std::optional<double> DelayEnergyTable::min_shadow_safe_voltage(
   const double limit = design.shadow_capture_limit();
   const std::size_t ci = corner_index(corner);
   const std::size_t ti = temp_index(temp_c);
-  if (!bands_.empty()) {
-    const Band& b = band(ci, ti);
-    for (std::size_t vi = 0; vi < b.points.size(); ++vi) {
-      const double d = b.delays[vi * kClassCount + static_cast<std::size_t>(worst)];
-      if (d <= limit) return b.points.voltage(vi);
-    }
-    return std::nullopt;
-  }
   for (std::size_t vi = 0; vi < grid_.size(); ++vi) {
     const double d = delay_at(worst, ci, ti, vi);
     if (d <= limit) return grid_.voltage(vi);
@@ -644,34 +294,18 @@ std::optional<double> DelayEnergyTable::min_shadow_safe_voltage(
   return std::nullopt;
 }
 
-void DelayEnergyTable::attach_refiner(const interconnect::BusDesign& design,
-                                      const tech::DriverModel& driver,
-                                      std::shared_ptr<PointStore> store) {
-  if (bands_.empty()) return;  // dense tables keep clamp semantics
-  refiner_ = std::make_shared<LazyRefiner>(design, driver, std::move(store), corners_,
-                                           temps_, grid_.vmin(), grid_.step());
-}
-
-std::uint64_t DelayEnergyTable::refiner_sims() const {
-  return refiner_ ? refiner_->transient_sims() : 0;
-}
-
 double DelayEnergyTable::delay_at(int cls, std::size_t ci, std::size_t ti,
                                   std::size_t vi) const {
-  if (!bands_.empty())
-    return band(ci, ti).delays.at(vi * kClassCount + static_cast<std::size_t>(cls));
   return delays_.at(flat_index(ci, ti, vi, cls));
 }
 
 double DelayEnergyTable::energy_at(int cls, std::size_t ci, std::size_t ti,
                                    std::size_t vi) const {
-  if (!bands_.empty())
-    return band(ci, ti).energies.at(vi * kClassCount + static_cast<std::size_t>(cls));
   return energies_.at(flat_index(ci, ti, vi, cls));
 }
 
 void DelayEnergyTable::save(std::ostream& os, std::uint64_t key_hash) const {
-  os.write(bands_.empty() ? kMagic : kMagicAdaptive, sizeof(kMagic));
+  os.write(kMagic, sizeof(kMagic));
   os.write(reinterpret_cast<const char*>(&key_hash), sizeof(key_hash));
   const double vmin = grid_.vmin();
   const double vmax = grid_.vmax();
@@ -690,34 +324,19 @@ void DelayEnergyTable::save(std::ostream& os, std::uint64_t key_hash) const {
     const std::int32_t v = static_cast<std::int32_t>(c);
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
   }
-  if (bands_.empty()) {
-    const std::uint64_t n_values = delays_.size();
-    os.write(reinterpret_cast<const char*>(&n_values), sizeof(n_values));
-    os.write(reinterpret_cast<const char*>(delays_.data()),
-             static_cast<std::streamsize>(delays_.size() * sizeof(double)));
-    os.write(reinterpret_cast<const char*>(energies_.data()),
-             static_cast<std::streamsize>(energies_.size() * sizeof(double)));
-    return;
-  }
-  for (const Band& b : bands_) {
-    const std::uint64_t n_points = b.points.size();
-    os.write(reinterpret_cast<const char*>(&n_points), sizeof(n_points));
-    os.write(reinterpret_cast<const char*>(b.points.voltages().data()),
-             static_cast<std::streamsize>(n_points * sizeof(double)));
-    os.write(reinterpret_cast<const char*>(b.delays.data()),
-             static_cast<std::streamsize>(b.delays.size() * sizeof(double)));
-    os.write(reinterpret_cast<const char*>(b.energies.data()),
-             static_cast<std::streamsize>(b.energies.size() * sizeof(double)));
-  }
+  const std::uint64_t n_values = delays_.size();
+  os.write(reinterpret_cast<const char*>(&n_values), sizeof(n_values));
+  os.write(reinterpret_cast<const char*>(delays_.data()),
+           static_cast<std::streamsize>(delays_.size() * sizeof(double)));
+  os.write(reinterpret_cast<const char*>(energies_.data()),
+           static_cast<std::streamsize>(energies_.size() * sizeof(double)));
 }
 
 std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
                                                        std::uint64_t expected_hash) {
   char magic[sizeof(kMagic)];
-  if (!is.read(magic, sizeof(magic))) return std::nullopt;
-  const bool dense = std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-  const bool adaptive = std::memcmp(magic, kMagicAdaptive, sizeof(kMagic)) == 0;
-  if (!dense && !adaptive) return std::nullopt;
+  if (!is.read(magic, sizeof(magic)) || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+    return std::nullopt;
   std::uint64_t hash = 0;
   if (!is.read(reinterpret_cast<char*>(&hash), sizeof(hash)) || hash != expected_hash)
     return std::nullopt;
@@ -731,6 +350,11 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
   is.read(reinterpret_cast<char*>(&n_corners), sizeof(n_corners));
   if (!is || n_temps == 0 || n_temps > 16 || n_corners == 0 || n_corners > 8)
     return std::nullopt;
+  // A corrupt grid header is a cache miss like any other corruption, never
+  // a SupplyGrid throw (or an out-of-range double -> size_t cast in it).
+  if (!std::isfinite(vmin) || !std::isfinite(vmax) || !std::isfinite(step) ||
+      !(step > 0.0) || !(vmax >= vmin) || (vmax - vmin) / step >= kMaxGridPoints)
+    return std::nullopt;
 
   DelayEnergyTable table;
   table.grid_ = tech::SupplyGrid(vmin, vmax, step);
@@ -743,44 +367,17 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
     is.read(reinterpret_cast<char*>(&v), sizeof(v));
     c = static_cast<tech::ProcessCorner>(v);
   }
-  if (dense) {
-    std::uint64_t n_values = 0;
-    is.read(reinterpret_cast<char*>(&n_values), sizeof(n_values));
-    const std::uint64_t expected_values =
-        n_corners * n_temps * table.grid_.size() *
-        static_cast<std::uint64_t>(PatternClass::kCount);
-    if (!is || n_values != expected_values) return std::nullopt;
-    table.delays_.resize(n_values);
-    table.energies_.resize(n_values);
-    is.read(reinterpret_cast<char*>(table.delays_.data()),
-            static_cast<std::streamsize>(n_values * sizeof(double)));
-    is.read(reinterpret_cast<char*>(table.energies_.data()),
-            static_cast<std::streamsize>(n_values * sizeof(double)));
-    if (!is) return std::nullopt;
-    return table;
-  }
-
-  table.bands_.resize(n_corners * n_temps);
-  for (Band& b : table.bands_) {
-    std::uint64_t n_points = 0;
-    is.read(reinterpret_cast<char*>(&n_points), sizeof(n_points));
-    // A band cannot hold more breakpoints than the reference grid.
-    if (!is || n_points == 0 || n_points > table.grid_.size()) return std::nullopt;
-    std::vector<double> voltages(n_points);
-    is.read(reinterpret_cast<char*>(voltages.data()),
-            static_cast<std::streamsize>(n_points * sizeof(double)));
-    const std::size_t n_values = static_cast<std::size_t>(n_points) * kClassCount;
-    b.delays.resize(n_values);
-    b.energies.resize(n_values);
-    is.read(reinterpret_cast<char*>(b.delays.data()),
-            static_cast<std::streamsize>(n_values * sizeof(double)));
-    is.read(reinterpret_cast<char*>(b.energies.data()),
-            static_cast<std::streamsize>(n_values * sizeof(double)));
-    if (!is) return std::nullopt;
-    for (std::size_t i = 1; i < voltages.size(); ++i)
-      if (!(voltages[i - 1] < voltages[i])) return std::nullopt;
-    b.points = tech::SupplyBreakpoints(std::move(voltages));
-  }
+  std::uint64_t n_values = 0;
+  is.read(reinterpret_cast<char*>(&n_values), sizeof(n_values));
+  const std::uint64_t expected_values = n_corners * n_temps * table.grid_.size() *
+                                        static_cast<std::uint64_t>(PatternClass::kCount);
+  if (!is || n_values != expected_values) return std::nullopt;
+  table.delays_.resize(n_values);
+  table.energies_.resize(n_values);
+  is.read(reinterpret_cast<char*>(table.delays_.data()),
+          static_cast<std::streamsize>(n_values * sizeof(double)));
+  is.read(reinterpret_cast<char*>(table.energies_.data()),
+          static_cast<std::streamsize>(n_values * sizeof(double)));
   if (!is) return std::nullopt;
   return table;
 }

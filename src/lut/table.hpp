@@ -8,30 +8,20 @@
 // the bridge between circuit-level fidelity and architectural simulation
 // speed: building it costs thousands of transient runs (done once, cached
 // on disk), after which millions of bus cycles evaluate via table lookups —
-// exactly the methodology of the paper's Section 3.
-//
-// Two build modes share this type (docs/characterization.md):
-//   * dense — every uniform grid voltage is simulated (the original mode;
-//     LutConfig::tolerance disabled). Storage is flat per-voltage arrays.
-//   * adaptive — recursive bisection keeps only the grid voltages where
-//     linear interpolation misses the simulated surface by more than the
-//     configured tolerance. Storage is a non-uniform breakpoint band per
-//     (corner, temperature). Candidate voltages are exactly the dense
-//     grid's voltages, so tolerance -> 0 reproduces the dense table
-//     bit-identically and the point store gets exact key matches.
+// exactly the methodology of the paper's Section 3. Every voltage of the
+// uniform grid is simulated (docs/characterization.md); storage is flat
+// per-voltage arrays.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "interconnect/bus_design.hpp"
 #include "lut/pattern.hpp"
-#include "tech/breakpoints.hpp"
 #include "tech/corner.hpp"
 #include "tech/device.hpp"
 #include "tech/supply.hpp"
@@ -39,29 +29,6 @@
 namespace razorbus::lut {
 
 class PointStore;
-class LazyRefiner;
-
-// Error bound for adaptive characterization. An interval [lo, hi] of the
-// reference grid is accepted when, for every canonical switching class,
-// the simulated midpoint is within
-//     |sim - lerp(lo, hi)| <= abs + relative * |sim|
-// for both delay (abs = delay_abs_s) and energy (abs = energy_abs_j);
-// otherwise the midpoint becomes a breakpoint and both halves recurse.
-// All-zero bounds (the default) disable adaptive mode entirely.
-struct LutTolerance {
-  double relative = 0.0;      // fraction of the simulated value
-  double delay_abs_s = 0.0;   // absolute delay floor (seconds)
-  double energy_abs_j = 0.0;  // absolute energy floor (joules)
-  // Stop splitting intervals narrower than 2 * min_step volts (0 means
-  // refine down to the reference grid's resolution).
-  double min_step = 0.0;
-  // Initial uniform seed intervals per (corner, temperature) band.
-  int seed_intervals = 4;
-
-  bool enabled() const {
-    return relative > 0.0 || delay_abs_s > 0.0 || energy_abs_j > 0.0;
-  }
-};
 
 struct LutConfig {
   // Grid of DRIVER-EFFECTIVE voltages. It must extend below the regulator
@@ -72,13 +39,10 @@ struct LutConfig {
   std::vector<double> temps{25.0, 100.0};
   std::vector<tech::ProcessCorner> corners{
       tech::ProcessCorner::slow, tech::ProcessCorner::typical, tech::ProcessCorner::fast};
-  // Disabled by default: dense characterization, bit-identical to the
-  // original builder. See lut_config_for_tolerance() in core/experiments.
-  LutTolerance tolerance{};
 
   // The uniform voltage axis implied by vmin/vmax/vstep. Single source of
-  // truth for the grid constants — DelayEnergyTable's default grid and the
-  // adaptive candidate set both derive from it.
+  // truth for the grid constants — DelayEnergyTable's default grid and
+  // every built table's axis derive from it.
   tech::SupplyGrid reference_grid() const {
     return tech::SupplyGrid(vmin, vmax, vstep);
   }
@@ -105,14 +69,10 @@ class DelayEnergyTable {
   // Empty table (no characterised values); assign from build()/load()
   // before use. Lookups on an empty table throw.
   DelayEnergyTable() : grid_(LutConfig{}.reference_grid()) {}
-  bool empty() const { return delays_.empty() && bands_.empty(); }
-  // True when built with adaptive (non-uniform breakpoint) storage.
-  bool adaptive() const { return !bands_.empty(); }
+  bool empty() const { return delays_.empty(); }
 
   // Characterise `design` (repeaters must be sized) with transient runs.
-  // `progress` (optional) is called with (done, total) as sims complete;
-  // `total` is always the dense-grid upper bound, so adaptive builds
-  // finish early and report (total, total) once at the end.
+  // `progress` (optional) is called with (done, total) as sims complete.
   // `store` (optional) answers already-simulated points without transient
   // runs and accumulates new ones; `stats` (optional) receives the cost
   // counters for this build.
@@ -122,15 +82,10 @@ class DelayEnergyTable {
                                 PointStore* store = nullptr,
                                 BuildStats* stats = nullptr);
 
-  // Uniform reference grid (regulators and sweeps step on this axis in
-  // both modes; adaptive storage interpolates its breakpoint bands).
+  // Uniform voltage grid (regulators and sweeps step on this axis).
   const tech::SupplyGrid& grid() const { return grid_; }
   const std::vector<double>& temps() const { return temps_; }
   const std::vector<tech::ProcessCorner>& corners() const { return corners_; }
-
-  // Breakpoint axis of one (corner, temp) band; empty axis in dense mode.
-  const tech::SupplyBreakpoints& breakpoints(std::size_t corner_idx,
-                                             std::size_t temp_idx) const;
 
   // Voltage-interpolated lookups (v is the driver-effective supply).
   // Delay is NaN for victim-hold classes; energy is always defined.
@@ -150,64 +105,34 @@ class DelayEnergyTable {
                                                 tech::ProcessCorner corner,
                                                 double temp_c) const;
 
-  // Attach on-demand refinement: lookups below the characterised range
-  // (e.g. a drift campaign wandering under a sweep's vmin) simulate fixed
-  // extension anchors lazily instead of clamping. Adaptive tables only;
-  // results are independent of query order and thread count.
-  void attach_refiner(const interconnect::BusDesign& design,
-                      const tech::DriverModel& driver,
-                      std::shared_ptr<PointStore> store);
-  // Transient runs performed by the attached refiner so far (0 if none).
-  std::uint64_t refiner_sims() const;
-
   // --- Serialization (versioned binary format with config hash) ---
   void save(std::ostream& os, std::uint64_t key_hash) const;
   // Empty when the stream is not a valid table or the hash mismatches.
   static std::optional<DelayEnergyTable> load(std::istream& is,
                                               std::uint64_t expected_hash);
 
-  // Raw (non-interpolated) accessors used by tests. In dense mode v_idx
-  // indexes the uniform grid; in adaptive mode it indexes the band's
-  // breakpoints (see breakpoints()).
+  // Raw (non-interpolated) accessors used by tests; v_idx indexes grid().
   double delay_at(int pattern_class, std::size_t corner_idx, std::size_t temp_idx,
                   std::size_t v_idx) const;
   double energy_at(int pattern_class, std::size_t corner_idx, std::size_t temp_idx,
                    std::size_t v_idx) const;
 
  private:
-  // Non-uniform storage for one (corner, temperature): values laid out
-  // [breakpoint][class], parallel to points.voltages().
-  struct Band {
-    tech::SupplyBreakpoints points;
-    std::vector<double> delays;
-    std::vector<double> energies;
-  };
-
-  static DelayEnergyTable build_adaptive(const interconnect::BusDesign& design,
-                                         const tech::DriverModel& driver,
-                                         const LutConfig& config,
-                                         const std::function<void(int, int)>& progress,
-                                         PointStore* store, BuildStats* stats);
-
   std::size_t corner_index(tech::ProcessCorner corner) const;
   std::size_t temp_index(double temp_c) const;
   std::size_t flat_index(std::size_t corner, std::size_t temp, std::size_t v,
                          int cls) const;
-  const Band& band(std::size_t corner_idx, std::size_t temp_idx) const;
 
   tech::SupplyGrid grid_;
   std::vector<double> temps_;
   std::vector<tech::ProcessCorner> corners_;
-  std::vector<double> delays_;    // dense mode: [corner][temp][voltage][class]
+  std::vector<double> delays_;    // [corner][temp][voltage][class]
   std::vector<double> energies_;  // same layout
-  std::vector<Band> bands_;       // adaptive mode: [corner * temps + temp]
-  std::shared_ptr<LazyRefiner> refiner_;  // optional; adaptive mode only
 };
 
 // Stable FNV-1a hash of everything the table depends on: the design
-// content hash (point_store.hpp) plus the LUT config — grid extent, temps,
-// corners, and the tolerance when adaptive mode is enabled. Used as the
-// disk-cache key.
+// content hash (point_store.hpp) plus the LUT config — grid extent, temps
+// and corners. Used as the disk-cache key.
 std::uint64_t table_key_hash(const interconnect::BusDesign& design,
                              const LutConfig& config);
 

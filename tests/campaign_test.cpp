@@ -105,6 +105,10 @@ TEST(ScenarioSpec, MalformedSpecsThrow) {
   // Unknown key (typo'd "cycels").
   EXPECT_THROW(parse_scenario(R"({"bench": "fig4_voltage_sweep", "cycels": 10})"),
                std::invalid_argument);
+  // A removed key is unknown too: tables are only ever built dense.
+  EXPECT_THROW(parse_scenario(R"({"name": "x", "experiment": "closed_loop",
+                                  "lut_tolerance": 0.02})"),
+               std::invalid_argument);
   // Wrong type.
   EXPECT_THROW(parse_scenario(R"({"bench": "fig4_voltage_sweep", "cycles": "many"})"),
                std::invalid_argument);

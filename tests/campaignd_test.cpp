@@ -97,7 +97,6 @@ TEST(JobHash, AnyFieldChangeChangesHash) {
       R"({"controllers": ["fixed_vs"]})",
       R"({"engine": "reference"})",
       R"({"stream": true})",
-      R"({"lut_tolerance": 0.02})",
       R"({"corners": ["worst"]})",
       R"({"encoding": "bus_invert"})",
       R"({"trace": {"source": "synthetic", "style": "uniform", "seed": 6}})",

@@ -49,7 +49,7 @@ const char* kExemplarCampaign = R"JSON({
                       "window": 5000, "max_step": 0.04}],
      "corners": ["typical", {"process": "fast", "temp_c": 25, "ir_drop": 0.05}],
      "encoding": "bus_invert", "engine": "reference",
-     "timing_jitter_sigma": 3e-12, "stream": true, "lut_tolerance": 0.02},
+     "timing_jitter_sigma": 3e-12, "stream": true},
     {"name": "sweep_bench_trace", "experiment": "static_sweep",
      "trace": {"source": "benchmark", "name": "crafty"}},
     {"name": "sweep_suite", "experiment": "static_sweep",

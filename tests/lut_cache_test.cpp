@@ -23,6 +23,7 @@
 #include "lut/point_store.hpp"
 #include "lut/table.hpp"
 #include "test_support.hpp"
+#include "util/bits.hpp"
 
 namespace razorbus::lut {
 namespace {
@@ -61,16 +62,6 @@ LutConfig tiny_config(double vmin) {
   LutConfig cfg = small_lut_config();
   cfg.vmin = vmin;
   cfg.corners = {tech::ProcessCorner::typical};
-  return cfg;
-}
-
-// The small grid with adaptive refinement enabled at the default bounds.
-LutConfig tiny_adaptive_config() {
-  LutConfig cfg = small_lut_config();
-  cfg.corners = {tech::ProcessCorner::typical};
-  cfg.tolerance.relative = 0.02;
-  cfg.tolerance.delay_abs_s = 2e-12;
-  cfg.tolerance.energy_abs_j = 2e-15;
   return cfg;
 }
 
@@ -141,15 +132,14 @@ TEST(LutCache, HashMismatchRebuildsCleanly) {
 TEST(LutCache, PointStoreEliminatesRedundantSims) {
   CacheDirGuard guard("./.razorbus_cache_store_test");
   const tech::DriverModel driver(sized_paper_bus().node);
-  const LutConfig cfg = tiny_adaptive_config();
+  const LutConfig cfg = tiny_config(1.10);
 
   BuildStats cold;
   const DelayEnergyTable first =
       build_or_load(sized_paper_bus(), driver, cfg, {}, &cold);
-  EXPECT_TRUE(first.adaptive());
   EXPECT_GT(cold.transient_sims, 0u);
 
-  // A second campaign re-characterising the same candidate points against
+  // A second campaign re-characterising the same grid points against
   // the shared store performs ZERO redundant transient runs: every point
   // is a store hit. (Built directly — build_or_load's memo would answer
   // without exercising the store at all.)
@@ -160,13 +150,15 @@ TEST(LutCache, PointStoreEliminatesRedundantSims) {
                                                           cfg, {}, store.get(), &warm);
   EXPECT_EQ(warm.transient_sims, 0u);
   EXPECT_GT(warm.store_hits, 0u);
-  ASSERT_EQ(first.breakpoints(0, 0).size(), second.breakpoints(0, 0).size());
-  const int cls = PatternClass::encode(VictimActivity::rise, NeighborActivity::fall,
-                                       NeighborActivity::fall);
-  for (std::size_t vi = 0; vi < first.breakpoints(0, 0).size(); ++vi) {
-    EXPECT_EQ(first.breakpoints(0, 0).voltage(vi), second.breakpoints(0, 0).voltage(vi));
-    EXPECT_EQ(first.delay_at(cls, 0, 0, vi), second.delay_at(cls, 0, 0, vi));
-    EXPECT_EQ(first.energy_at(cls, 0, 0, vi), second.energy_at(cls, 0, 0, vi));
+  // Bit-equal over the whole grid (bit patterns, so NaN hold delays match).
+  ASSERT_EQ(first.grid().size(), second.grid().size());
+  for (std::size_t vi = 0; vi < first.grid().size(); ++vi) {
+    for (int cls = 0; cls < PatternClass::kCount; ++cls) {
+      EXPECT_EQ(bit_cast<std::uint64_t>(first.delay_at(cls, 0, 0, vi)),
+                bit_cast<std::uint64_t>(second.delay_at(cls, 0, 0, vi)));
+      EXPECT_EQ(bit_cast<std::uint64_t>(first.energy_at(cls, 0, 0, vi)),
+                bit_cast<std::uint64_t>(second.energy_at(cls, 0, 0, vi)));
+    }
   }
 
   // An overlapping sub-range campaign only pays for points it never

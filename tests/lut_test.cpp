@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -279,6 +280,26 @@ TEST_F(TableTest, LoadRejectsTruncated) {
   data.resize(data.size() / 2);
   std::stringstream half(data);
   EXPECT_FALSE(DelayEnergyTable::load(half, 7).has_value());
+}
+
+// A corrupt grid header is a cache miss (nullopt), never a throw out of
+// the SupplyGrid constructor: build_or_load then rebuilds instead of
+// failing the job. A negative step is the sign bit of byte 39 flipped; a
+// NaN step would otherwise reach an out-of-range double -> size_t cast
+// (undefined behaviour) in SupplyGrid.
+TEST_F(TableTest, LoadRejectsCorruptGridStep) {
+  constexpr std::size_t kStepOffset = 32;  // after magic, key hash, vmin, vmax
+  for (const double step : {-table_->grid().step(), std::nan("")}) {
+    SCOPED_TRACE(step);
+    std::stringstream buffer;
+    table_->save(buffer, 7);
+    std::string data = buffer.str();
+    std::memcpy(&data[kStepOffset], &step, sizeof(step));
+    std::stringstream corrupt(data);
+    std::optional<DelayEnergyTable> loaded;
+    EXPECT_NO_THROW(loaded = DelayEnergyTable::load(corrupt, 7));
+    EXPECT_FALSE(loaded.has_value());
+  }
 }
 
 TEST_F(TableTest, MinShadowSafeVoltageIsConsistent) {

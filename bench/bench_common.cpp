@@ -6,7 +6,7 @@
 #include <exception>
 #include <iostream>
 
-#include "svc/fsio.hpp"
+#include "util/fsio.hpp"
 #include "util/parallel.hpp"
 
 namespace razorbus::bench {
@@ -125,7 +125,7 @@ int run_scenario(int argc, char** argv, const Scenario& scenario) {
       // Published atomically (temp + rename): two concurrent runs of one
       // job each leave a complete report, never an interleaved one.
       try {
-        svc::write_file_atomic(json_path, report.dump(2) + "\n");
+        util::write_file_atomic(json_path, report.dump(2) + "\n");
       } catch (const std::exception& e) {
         std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(), e.what());
         return 1;

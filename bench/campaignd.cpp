@@ -37,13 +37,13 @@
 #include <vector>
 
 #include "core/job_hash.hpp"
-#include "lut/point_store.hpp"
 #include "core/scenario_spec.hpp"
+#include "lut/table.hpp"
 #include "scenario_registry.hpp"
 #include "scenarios/scenarios.hpp"
-#include "svc/fsio.hpp"
 #include "svc/service.hpp"
 #include "util/cli.hpp"
+#include "util/fsio.hpp"
 
 using namespace razorbus;
 using namespace razorbus::bench;
@@ -127,7 +127,7 @@ int run(const char* argv0, const std::string& campaign_path, const CliFlags& fla
                                std::move(config));
   service.prepare();
   const auto summary = service.run();
-  svc::write_file_atomic(consolidated, service.aggregate().dump(2) + "\n");
+  util::write_file_atomic(consolidated, service.aggregate().dump(2) + "\n");
   print_summary(service.config().out_dir.c_str(), summary, consolidated);
   if (!summary.drained)
     std::printf("queue not drained (max_jobs budget or external claims): resume "
@@ -225,7 +225,7 @@ int manifest(const std::string& campaign_path, const CliFlags& flags) {
     const std::string path =
         (fs::path(out_dir) / ("shard_" + std::to_string(s) + "_of_" +
                               std::to_string(shards) + ".json")).string();
-    svc::write_file_atomic(path, doc.dump(2) + "\n");
+    util::write_file_atomic(path, doc.dump(2) + "\n");
     std::printf("  shard %d/%d: %zu job(s) -> %s\n", s, shards,
                 doc.at("jobs").size(), path.c_str());
   }

@@ -11,15 +11,16 @@
 // tracked across commits — and gated by the CI bench-regression job.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <vector>
 
 #include "bus/simulator.hpp"
 #include "core/experiments.hpp"
 #include "cpu/kernels.hpp"
 #include "drift/schedule.hpp"
 #include "lut/cache.hpp"
-#include "lut/point_store.hpp"
 #include "lut/table.hpp"
 #include "scenarios/scenarios.hpp"
 #include "spice/transient.hpp"
@@ -42,25 +43,53 @@ trace::Trace make_trace(trace::SyntheticStyle style, double load_rate, std::size
   return trace::generate_synthetic(cfg, name);
 }
 
-// Cycles/second of `mode` on `design` over `words`, re-running the trace
-// until the measurement window is long enough to trust.
+// Cycles/second of a workload. `run(n)` simulates about n cycles and
+// returns how many it ran. One pass of `pass_cycles` warms up (faulting in
+// the tables) and sizes the windows; the result is the median rate of
+// kWindows windows of about kWindowSeconds each, so one window stalled by
+// a busy host does not move the key.
+template <typename Fn>
+double median_cps(std::uint64_t pass_cycles, Fn&& run) {
+  constexpr int kWindows = 5;
+  constexpr double kWindowSeconds = 0.1;
+  using clock = std::chrono::steady_clock;
+  const auto rate = [&run](std::uint64_t cycles) {
+    const auto t0 = clock::now();
+    const std::uint64_t done = run(cycles);
+    return static_cast<double>(done) /
+           std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  const auto window_cycles = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(rate(pass_cycles) * kWindowSeconds));
+  std::vector<double> rates;
+  for (int w = 0; w < kWindows; ++w) rates.push_back(rate(window_cycles));
+  std::nth_element(rates.begin(), rates.begin() + kWindows / 2, rates.end());
+  return rates[kWindows / 2];
+}
+
+// median_cps's `run` for an engine driven by word spans: the next n words
+// of `words`, wrapping around at the end of the trace.
+template <typename Engine>
+auto span_runner(Engine& engine, const std::vector<BusWord>& words) {
+  return [&engine, &words, offset = std::size_t{0}](std::uint64_t n) mutable {
+    for (std::uint64_t left = n; left > 0;) {
+      const auto chunk =
+          static_cast<std::size_t>(std::min<std::uint64_t>(left, words.size() - offset));
+      engine.run(words.data() + offset, chunk);
+      offset = (offset + chunk) % words.size();
+      left -= chunk;
+    }
+    return n;
+  };
+}
+
+// Cycles/second of `mode` on `design` over `words`.
 double measure_cps(const interconnect::BusDesign& design, bus::EngineMode mode,
                   const std::vector<BusWord>& words) {
   bus::BusSimulator sim(design, paper_system().table(), tech::typical_corner());
   sim.set_engine_mode(mode);
   sim.set_supply(1.00);
-  sim.run(words);  // warm up (and fault in the tables)
-
-  using clock = std::chrono::steady_clock;
-  std::uint64_t cycles_done = 0;
-  double elapsed = 0.0;
-  const auto t0 = clock::now();
-  do {
-    sim.run(words);
-    cycles_done += words.size();
-    elapsed = std::chrono::duration<double>(clock::now() - t0).count();
-  } while (elapsed < 0.25);
-  return static_cast<double>(cycles_done) / elapsed;
+  return median_cps(words.size(), span_runner(sim, words));
 }
 
 double measure_cps(bus::EngineMode mode, const std::vector<BusWord>& words) {
@@ -181,17 +210,15 @@ void system_showdown(ScenarioContext& ctx) {
     if (with_drift)
       cfg.drift = drift::Schedule::linear(cycles, 25.0, 100.0, 0.0, 0.05);
     const tech::PvtCorner corner = tech::typical_corner();
-    system.run_closed_loop(corner, traces, cfg);  // warm up
-
-    using clock = std::chrono::steady_clock;
-    std::uint64_t cycles_done = 0;
-    double elapsed = 0.0;
-    const auto t0 = clock::now();
-    do {
-      cycles_done += system.run_closed_loop(corner, traces, cfg).cycles;
-      elapsed = std::chrono::duration<double>(clock::now() - t0).count();
-    } while (elapsed < 0.25);
-    return static_cast<double>(cycles_done) / elapsed;
+    // A closed loop runs whole traces: a window is the nearest whole number
+    // of passes.
+    return median_cps(cycles, [&](std::uint64_t n) {
+      const std::uint64_t passes = std::max<std::uint64_t>(1, (n + cycles / 2) / cycles);
+      std::uint64_t done = 0;
+      for (std::uint64_t p = 0; p < passes; ++p)
+        done += system.run_closed_loop(corner, traces, cfg).cycles;
+      return done;
+    });
   };
   const double one_cps = measure(1, false);
   const double three_cps = measure(3, false);
@@ -224,19 +251,8 @@ void multipoint_showdown(ScenarioContext& ctx) {
       std::vector<bus::OperatingPoint> points;
       for (int p = 0; p < n_points; ++p) points.push_back({1.00 + 0.01 * p, corner});
       bus::MultiPointEngine engine(design, paper_system().table(), points);
-      engine.run(t.words);  // warm up (and fault in the SoA tables)
-
-      using clock = std::chrono::steady_clock;
-      std::uint64_t cycles_done = 0;
-      double elapsed = 0.0;
-      const auto t0 = clock::now();
-      do {
-        engine.run(t.words);
-        cycles_done += t.words.size();
-        elapsed = std::chrono::duration<double>(clock::now() - t0).count();
-      } while (elapsed < 0.25);
-      const double cps =
-          static_cast<double>(n_points) * static_cast<double>(cycles_done) / elapsed;
+      const double cps = static_cast<double>(n_points) *
+                         median_cps(t.words.size(), span_runner(engine, t.words));
       table.add(cps / 1e6, 1);
       ctx.metric("sweep_points_w" + std::to_string(width) + "_p" +
                      std::to_string(n_points) + "_cps",
@@ -343,11 +359,11 @@ void parallel_showdown(ScenarioContext& ctx) {
 
 // Characterization cost (docs/characterization.md): transient runs of a
 // cold dense build of one (corner, temperature) of the paper grid, plus a
-// warm rebuild against the populated point store — which must perform
-// ZERO transient runs, since every grid point is already stored. Runs
-// inside an isolated RAZORBUS_CACHE_DIR so the process's real cache is
-// untouched. `lut_warm_sims` is gated as a COST key (more sims =
-// regression) and `lut_build_cps` as throughput.
+// warm build_or_load in a copy of the cold cache directory — a disk hit
+// (the in-process memo is keyed by directory, so it cannot answer), which
+// must perform ZERO transient runs. Runs inside isolated RAZORBUS_CACHE_DIRs
+// so the process's real cache is untouched. `lut_warm_sims` is gated as a
+// COST key (more sims = regression) and `lut_build_cps` as throughput.
 void characterization_showdown(ScenarioContext& ctx) {
   const auto& system = paper_system();
 
@@ -357,53 +373,51 @@ void characterization_showdown(ScenarioContext& ctx) {
 
   const char* prev_env = std::getenv("RAZORBUS_CACHE_DIR");
   const std::string prev_dir = prev_env ? prev_env : "";
-  const std::string tmp_dir = "BENCH_lut_cache.tmp";
+  const std::string cold_dir = "BENCH_lut_cache.tmp";
+  const std::string warm_dir = "BENCH_lut_cache_warm.tmp";
   std::error_code ec;
-  std::filesystem::remove_all(tmp_dir, ec);
-  setenv("RAZORBUS_CACHE_DIR", tmp_dir.c_str(), 1);
+  std::filesystem::remove_all(cold_dir, ec);
+  std::filesystem::remove_all(warm_dir, ec);
+  setenv("RAZORBUS_CACHE_DIR", cold_dir.c_str(), 1);
 
-  // Cold: empty point store, every grid point costs its transient runs.
+  // Cold: empty cache directory, every grid point costs its transient runs.
   lut::BuildStats cold_stats;
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
   lut::build_or_load(system.design(), system.driver(), cfg, {}, &cold_stats);
   const double cold_s = std::chrono::duration<double>(clock::now() - t0).count();
 
-  // Warm: the same table re-characterised against the populated store
-  // (a fresh process whose table cache was pruned, say). Built directly —
-  // not via build_or_load, whose memo/disk hits would trivially skip the
-  // build — so every point goes through the store.
-  const auto store = lut::PointStore::open(lut::cache_directory(),
-                                           lut::design_content_hash(system.design()));
+  // Warm: a fresh process on a machine that already holds the table file.
+  std::filesystem::copy(cold_dir, warm_dir, std::filesystem::copy_options::recursive,
+                        ec);
+  setenv("RAZORBUS_CACHE_DIR", warm_dir.c_str(), 1);
   lut::BuildStats warm_stats;
-  lut::DelayEnergyTable::build(system.design(), system.driver(), cfg, {}, store.get(),
-                               &warm_stats);
+  lut::build_or_load(system.design(), system.driver(), cfg, {}, &warm_stats);
 
   if (prev_env)
     setenv("RAZORBUS_CACHE_DIR", prev_dir.c_str(), 1);
   else
     unsetenv("RAZORBUS_CACHE_DIR");
-  std::filesystem::remove_all(tmp_dir, ec);
+  std::filesystem::remove_all(cold_dir, ec);
+  std::filesystem::remove_all(warm_dir, ec);
 
   const auto cold_sims = static_cast<double>(cold_stats.transient_sims);
-  Table table({"Characterization", "Transient sims", "Store hits", "Points"});
+  Table table({"Characterization", "Transient sims", "Points"});
   const auto add_row = [&table](const char* label, const lut::BuildStats& stats) {
     table.row()
         .add(label)
         .add(static_cast<long long>(stats.transient_sims))
-        .add(static_cast<long long>(stats.store_hits))
         .add(static_cast<long long>(stats.points));
   };
   add_row("dense, cold", cold_stats);
-  add_row("dense, warm store", warm_stats);
+  add_row("dense, warm table file", warm_stats);
   ctx.table("characterization_cost", table);
 
   ctx.metric("lut_build_cps", cold_s > 0.0 ? cold_sims / cold_s : 0.0);
   ctx.metric("lut_warm_sims", static_cast<double>(warm_stats.transient_sims));
-  ctx.metric("lut_warm_store_hits", static_cast<double>(warm_stats.store_hits));
 
   if (warm_stats.transient_sims > 0)
-    std::printf("WARNING: warm rebuild performed %llu transient sims (expected 0)\n",
+    std::printf("WARNING: warm load performed %llu transient sims (expected 0)\n",
                 static_cast<unsigned long long>(warm_stats.transient_sims));
 }
 

@@ -4,7 +4,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "lut/point_store.hpp"
+#include "lut/table.hpp"
 
 namespace razorbus::core {
 namespace {

@@ -1,32 +1,22 @@
 #include "lut/cache.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
-#include <random>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
 #include <utility>
 
-#include "lut/point_store.hpp"
+#include "util/fsio.hpp"
 #include "util/lease.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace razorbus::lut {
 
 namespace {
-
-// Random per-process token for temp-file names. Entropy is exactly what
-// cross-process uniqueness needs here, and the token never reaches
-// simulation state — results are identical whatever it draws.
-std::uint64_t process_token() {
-  // razorlint: allow(no-raw-random): naming entropy, not a simulation draw.
-  std::random_device rd;
-  return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-}
 
 // In-memory memo of every table this process has built or loaded, keyed by
 // (cache directory, table hash). Repeat build_or_load calls — each test
@@ -44,36 +34,20 @@ util::Mutex g_memo_mutex;
 std::map<std::pair<std::string, std::uint64_t>, DelayEnergyTable> g_memo
     GUARDED_BY(g_memo_mutex);
 
-// Publish atomically: write a private temp file in the same directory,
-// then rename over the final path. A crash mid-write or a concurrent
-// second writer (parallel test binaries share this cache) can then never
-// leave a torn lut_*.bin — readers see the old file, the new file, or no
-// file, all of which load() handles. The temp name carries a random
-// per-process token (cross-process uniqueness; simulation results never
-// depend on it) and a process-local counter (two threads of one process
-// building the same entry must not share a temp file). Best-effort: a
-// failed write only costs the next process a rebuild.
+// Publishes through util::write_file_atomic (temp file + rename), so a
+// crash mid-write or a concurrent second writer (parallel test binaries
+// share this cache) can never leave a torn lut_*.bin — readers see the old
+// file, the new file, or no file, all of which load() handles.
+// Best-effort: a failed write only costs the next process a rebuild.
 void write_cache_file(const std::string& path, const DelayEnergyTable& table,
                       std::uint64_t hash) {
-  static const std::uint64_t tmp_token = process_token();
-  // razorlint: allow(no-mutable-static): atomic counter for temp-file name
-  // uniqueness within the process; file contents are identical regardless.
-  static std::atomic<unsigned> tmp_serial{0};
-  std::error_code ec;
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << std::hex << tmp_token << "." << tmp_serial++;
-  const std::string tmp_path = tmp_name.str();
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    table.save(out, hash);
-    if (!out) {
-      std::filesystem::remove(tmp_path, ec);
-      return;
-    }
+  std::ostringstream bytes;
+  table.save(bytes, hash);
+  try {
+    util::write_file_atomic(path, bytes.str());
+  } catch (const std::runtime_error&) {
+    // Unwritable cache directory: keep the built table in memory only.
   }
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) std::filesystem::remove(tmp_path, ec);
 }
 
 }  // namespace
@@ -120,13 +94,8 @@ DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
     return g_memo.emplace(key, *std::move(table)).first->second;
   };
   auto build_and_publish = [&] {
-    // Only a build needs the design's shared point store: it fetches every
-    // already-simulated point instead of re-running the transient solver.
-    const std::shared_ptr<PointStore> store =
-        PointStore::open(dir, design_content_hash(design));
     DelayEnergyTable table =
-        DelayEnergyTable::build(design, driver, config, progress, store.get(), stats);
-    store->flush();
+        DelayEnergyTable::build(design, driver, config, progress, stats);
     write_cache_file(path, table, hash);
     util::MutexLock lock(g_memo_mutex);
     return g_memo.emplace(key, std::move(table)).first->second;

@@ -20,11 +20,9 @@ std::string cache_directory();
 
 // Loads the table for (design, config) from the cache, or builds and stores
 // it. `progress` forwards to DelayEnergyTable::build on a cache miss.
-//
-// Builds consult the design's incremental point store (point_store.hpp) in
-// the same cache directory, so only points no table has ever simulated cost
-// transient runs; a memo or disk hit never opens the store. `stats`
-// (optional) receives the build's cost counters — all zero on a hit.
+// `stats` (optional) receives the build's cost counters — all zero on a
+// memo or disk hit. Concurrent cold callers of one table, threads or
+// processes, build it once (docs/characterization.md).
 DelayEnergyTable build_or_load(const interconnect::BusDesign& design,
                                const tech::DriverModel& driver, const LutConfig& config,
                                const std::function<void(int, int)>& progress = {},

@@ -10,7 +10,8 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "lut/point_store.hpp"
+#include "interconnect/rc_builder.hpp"
+#include "util/fsio.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -51,40 +52,6 @@ struct ClassPoint {
   double energy[PatternClass::kCount];
 };
 
-struct CostCounters {
-  std::atomic<std::uint64_t> transient_sims{0};
-  std::atomic<std::uint64_t> store_hits{0};
-};
-
-// One class's raw result: answered by the point store when it already
-// holds the key, otherwise simulated and inserted. Stored values came
-// from the identical deterministic simulation (the key covers everything
-// the result depends on), so consulting the store can never change table
-// contents — only skip work.
-interconnect::ClusterResult simulate_or_fetch(
-    const interconnect::ClusterCharacterizer& characterizer,
-    const interconnect::ClusterSpec& spec, int cls, PointStore* store,
-    std::uint64_t design_hash, CostCounters& counters) {
-  if (store) {
-    const std::uint64_t key =
-        point_key(design_hash, spec.corner, spec.temp_c, spec.vdd, cls);
-    if (const auto hit = store->lookup(key)) {
-      ++counters.store_hits;
-      interconnect::ClusterResult r;
-      r.delay = hit->delay;
-      r.victim_energy = hit->energy;
-      r.settled = true;
-      return r;
-    }
-    const interconnect::ClusterResult r = characterizer.run(spec);
-    ++counters.transient_sims;
-    store->insert(key, {r.delay, r.victim_energy});
-    return r;
-  }
-  ++counters.transient_sims;
-  return characterizer.run(spec);
-}
-
 // Characterise every pattern class at one (corner, temp, voltage) — the
 // one copy of the per-class policy: quiet canonical classes get zero
 // energy, non-conducting points get infinite delay with no simulation,
@@ -93,8 +60,7 @@ interconnect::ClusterResult simulate_or_fetch(
 ClassPoint characterize_classes(const interconnect::ClusterCharacterizer& characterizer,
                                 const tech::DriverModel& driver,
                                 tech::ProcessCorner corner, double temp_c, double vdd,
-                                PointStore* store, std::uint64_t design_hash,
-                                CostCounters& counters,
+                                std::atomic<std::uint64_t>& transient_sims,
                                 const std::function<void()>& per_unit) {
   ClassPoint p;
   for (int cls = 0; cls < PatternClass::kCount; ++cls) {
@@ -118,8 +84,8 @@ ClassPoint characterize_classes(const interconnect::ClusterCharacterizer& charac
     spec.vdd = vdd;
     spec.corner = corner;
     spec.temp_c = temp_c;
-    const interconnect::ClusterResult r =
-        simulate_or_fetch(characterizer, spec, cls, store, design_hash, counters);
+    const interconnect::ClusterResult r = characterizer.run(spec);
+    ++transient_sims;
     if (PatternClass::victim_switches(cls))
       p.delay[cls] = r.delay >= 0.0 ? r.delay : std::numeric_limits<double>::infinity();
     p.energy[cls] = r.victim_energy;
@@ -145,12 +111,22 @@ int switching_canonical_count() {
 
 std::uint64_t table_key_hash(const interconnect::BusDesign& design,
                              const LutConfig& config) {
-  // Design/model/simulator content (including the n_bits / shield_group
-  // exclusions) lives in design_content_hash — the same hash that keys the
-  // point store — so the table key and the point keys can never disagree
-  // about what "the same design" means.
   Fnv1a fnv;
-  fnv.h = design_content_hash(design);
+  const auto& n = design.node;
+  fnv.mix(n.name.data(), n.name.size());
+  for (double v : {n.vdd_nominal, n.vth0, n.alpha, n.vth_temp_coeff,
+                   n.mobility_temp_exponent, n.dibl, n.r_unit, n.c_in_unit,
+                   n.c_self_unit, n.e_short_unit, n.i_leak_unit, n.leak_n})
+    fnv.mix_double(v);
+  for (double v : {design.parasitics.r_per_m, design.parasitics.cg_per_m,
+                   design.parasitics.cc_per_m, design.length, design.clock_freq,
+                   design.setup_slack_fraction, design.shadow_delay_fraction,
+                   design.repeater_size, design.receiver_size})
+    fnv.mix_double(v);
+  // n_bits and shield_group deliberately omitted (DESIGN.md §3).
+  fnv.mix_int(design.n_segments);
+  fnv.mix_int(interconnect::ClusterCharacterizer::kSectionsPerSegment);
+  fnv.mix_int(static_cast<std::int64_t>(kSimulatorVersion));
   for (double v : {config.vmin, config.vmax, config.vstep}) fnv.mix_double(v);
   for (double t : config.temps) fnv.mix_double(t);
   for (auto c : config.corners) fnv.mix_int(static_cast<std::int64_t>(c));
@@ -161,7 +137,7 @@ DelayEnergyTable DelayEnergyTable::build(const interconnect::BusDesign& design,
                                          const tech::DriverModel& driver,
                                          const LutConfig& config,
                                          const std::function<void(int, int)>& progress,
-                                         PointStore* store, BuildStats* stats) {
+                                         BuildStats* stats) {
   DelayEnergyTable table;
   table.grid_ = config.reference_grid();
   table.temps_ = config.temps;
@@ -173,8 +149,7 @@ DelayEnergyTable DelayEnergyTable::build(const interconnect::BusDesign& design,
   table.energies_.resize(total_slots);
 
   const interconnect::ClusterCharacterizer characterizer(design, driver);
-  const std::uint64_t design_hash = design_content_hash(design);
-  CostCounters counters;
+  std::atomic<std::uint64_t> transient_sims{0};
 
   // Count canonical classes that need simulation (for progress reporting).
   const int sims_per_point = switching_canonical_count();
@@ -213,15 +188,14 @@ DelayEnergyTable DelayEnergyTable::build(const interconnect::BusDesign& design,
         const std::size_t vi = point % table.grid_.size();
         const ClassPoint p = characterize_classes(
             characterizer, driver, table.corners_[ci], table.temps_[ti],
-            table.grid_.voltage(vi), store, design_hash, counters, per_unit);
+            table.grid_.voltage(vi), transient_sims, per_unit);
         const std::size_t base = table.flat_index(ci, ti, vi, 0);
         std::copy(std::begin(p.delay), std::end(p.delay), table.delays_.begin() + base);
         std::copy(std::begin(p.energy), std::end(p.energy),
                   table.energies_.begin() + base);
       });
   if (stats) {
-    stats->transient_sims = counters.transient_sims.load();
-    stats->store_hits = counters.store_hits.load();
+    stats->transient_sims = transient_sims.load();
     stats->points = table.corners_.size() * points_per_corner;
   }
   return table;
@@ -371,7 +345,11 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
   is.read(reinterpret_cast<char*>(&n_values), sizeof(n_values));
   const std::uint64_t expected_values = n_corners * n_temps * table.grid_.size() *
                                         static_cast<std::uint64_t>(PatternClass::kCount);
-  if (!is || n_values != expected_values) return std::nullopt;
+  // The largest header the checks above admit claims ~0.5 GB of values:
+  // allocate only what the stream actually holds.
+  if (!is || n_values != expected_values ||
+      !util::claim_fits_stream(is, n_values, 2 * sizeof(double)))
+    return std::nullopt;
   table.delays_.resize(n_values);
   table.energies_.resize(n_values);
   is.read(reinterpret_cast<char*>(table.delays_.data()),

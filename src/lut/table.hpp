@@ -28,7 +28,29 @@
 
 namespace razorbus::lut {
 
-class PointStore;
+// Bump when the transient solver, netlist construction or device models
+// change in a way that alters simulated values: table_key_hash mixes it in,
+// so stale table files are simply never hit again (job hashes carry it too).
+// History (docs/campaignd.md): 2 — banded solver over a reordered matrix;
+// the new elimination order moves results in the last digits only
+// (tests/spice_parity_test.cpp).
+constexpr std::uint32_t kSimulatorVersion = 2;
+
+// FNV-1a accumulator: the content-hash primitive behind the table cache
+// key (table_key_hash) and the campaign job hash (core/job_hash.hpp).
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;  // offset basis
+
+  void mix(const void* data, std::size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;  // FNV prime
+    }
+  }
+  void mix_double(double v) { mix(&v, sizeof(v)); }
+  void mix_int(std::int64_t v) { mix(&v, sizeof(v)); }
+};
 
 struct LutConfig {
   // Grid of DRIVER-EFFECTIVE voltages. It must extend below the regulator
@@ -48,11 +70,12 @@ struct LutConfig {
   }
 };
 
-// Cost counters for one build() call. transient_sims is the number of
-// actual transient runs performed; store_hits counts per-class values
-// answered by the point store instead.
+// Cost counters for one build() call: transient_sims is the number of
+// transient runs performed.
 struct BuildStats {
   std::uint64_t transient_sims = 0;
+  // Always 0. Kept only because perfbench's layer_probe reports it as
+  // lut.store_hits, and perfbench changes only together with the benchmark.
   std::uint64_t store_hits = 0;
   std::uint64_t points = 0;  // characterised (corner, temp, voltage) points
 };
@@ -72,14 +95,11 @@ class DelayEnergyTable {
   bool empty() const { return delays_.empty(); }
 
   // Characterise `design` (repeaters must be sized) with transient runs.
-  // `progress` (optional) is called with (done, total) as sims complete.
-  // `store` (optional) answers already-simulated points without transient
-  // runs and accumulates new ones; `stats` (optional) receives the cost
-  // counters for this build.
+  // `progress` (optional) is called with (done, total) as sims complete;
+  // `stats` (optional) receives the cost counters for this build.
   static DelayEnergyTable build(const interconnect::BusDesign& design,
                                 const tech::DriverModel& driver, const LutConfig& config,
                                 const std::function<void(int, int)>& progress = {},
-                                PointStore* store = nullptr,
                                 BuildStats* stats = nullptr);
 
   // Uniform voltage grid (regulators and sweeps step on this axis).
@@ -130,9 +150,12 @@ class DelayEnergyTable {
   std::vector<double> energies_;  // same layout
 };
 
-// Stable FNV-1a hash of everything the table depends on: the design
-// content hash (point_store.hpp) plus the LUT config — grid extent, temps
-// and corners. Used as the disk-cache key.
+// Stable FNV-1a hash of everything the table depends on, used as the
+// disk-cache key: node electricals, parasitics, geometry, repeater sizing,
+// the RC section discretisation, the simulator version, and the LUT config
+// (grid extent, temps and corners). It deliberately EXCLUDES n_bits and
+// shield_group: the 3-wire cluster sees one wire's electricals, so every
+// bus width of one design shares a table (DESIGN.md §3).
 std::uint64_t table_key_hash(const interconnect::BusDesign& design,
                              const LutConfig& config);
 

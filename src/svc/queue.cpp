@@ -5,7 +5,7 @@
 #include <system_error>
 #include <utility>
 
-#include "svc/fsio.hpp"
+#include "util/fsio.hpp"
 
 namespace razorbus::svc {
 
@@ -41,7 +41,7 @@ JobQueue::JobQueue(std::string dir) : dir_(std::move(dir)) {
 }
 
 void JobQueue::enqueue(const QueueJob& job) {
-  write_file_atomic((fs::path(jobs_dir_) / (job.name + ".json")).string(),
+  util::write_file_atomic((fs::path(jobs_dir_) / (job.name + ".json")).string(),
                     job.to_json().dump(2) + "\n");
 }
 
@@ -57,7 +57,8 @@ std::vector<QueueJob> JobQueue::jobs() const {
       out.push_back(QueueJob::from_json(Json::parse_file(path)));
     } catch (const std::exception&) {
       // Torn or foreign file: not a job. (Publishes are atomic, so this
-      // can only be debris; skipping matches the PointStore contract.)
+      // can only be debris; every reader of a util::write_file_atomic file
+      // treats it as absent.)
     }
   }
   return out;
@@ -90,7 +91,7 @@ std::optional<QueueJob> JobQueue::claim(const std::string& worker_id) {
 }
 
 void JobQueue::complete(const std::string& name, const Json& record) {
-  write_file_atomic((fs::path(done_dir_) / (name + ".json")).string(),
+  util::write_file_atomic((fs::path(done_dir_) / (name + ".json")).string(),
                     record.dump(2) + "\n");
   release(name);
 }

@@ -68,7 +68,7 @@ class JobQueue {
 
   // Every parseable job record, sorted by name (deterministic order). A
   // torn record — crash before its first atomic publish completed — is
-  // skipped, matching the PointStore load contract.
+  // skipped, like a torn LUT table file (util/fsio.hpp).
   std::vector<QueueJob> jobs() const;
 
   // Claims the first (by name) job that is neither done nor claimed by a

@@ -3,7 +3,7 @@
 #include <filesystem>
 #include <system_error>
 
-#include "svc/fsio.hpp"
+#include "util/fsio.hpp"
 #include "util/json.hpp"
 
 namespace razorbus::svc {
@@ -22,7 +22,7 @@ std::optional<std::string> ResultCache::lookup(const std::string& hash_hex) {
   const std::string path = entry_path(hash_hex);
   std::optional<std::string> bytes;
   try {
-    std::string content = read_file(path);
+    std::string content = util::read_file(path);
     Json::parse(content);  // torn/corrupt entry -> miss
     bytes = std::move(content);
   } catch (const std::exception&) {
@@ -44,7 +44,7 @@ std::optional<std::string> ResultCache::lookup(const std::string& hash_hex) {
 void ResultCache::insert(const std::string& hash_hex,
                          const std::string& report_bytes) {
   Json::parse(report_bytes);  // throws: never cache an unparseable report
-  write_file_atomic(entry_path(hash_hex), report_bytes);
+  util::write_file_atomic(entry_path(hash_hex), report_bytes);
   util::MutexLock lock(mutex_);
   ++stats_.inserts;
 }

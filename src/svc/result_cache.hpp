@@ -8,8 +8,8 @@
 // a hit can be replayed by copying the stored bytes to the report path:
 // the replayed BENCH_<job>.json is byte-identical to what a fresh
 // simulation would have written, which tests and the CI campaign-cache leg
-// assert. This is lut::PointStore's entry-format idea lifted from single
-// characterization points to whole campaign jobs; the directory is shared
+// assert. Entries are published through util::write_file_atomic, like
+// the LUT table cache; the directory is shared
 // across campaigns, CI runs (via actions/cache) and — rsynced — hosts.
 #pragma once
 

@@ -13,7 +13,7 @@
 #include <utility>
 
 #include "core/job_hash.hpp"
-#include "svc/fsio.hpp"
+#include "util/fsio.hpp"
 #include "util/parallel.hpp"
 
 namespace razorbus::svc {
@@ -54,6 +54,18 @@ ServiceConfig resolve(ServiceConfig config) {
 
 }  // namespace
 
+std::string shell_quote(const std::string& s) {
+  std::string out = "'";
+  for (const char c : s) {
+    if (c == '\'')
+      out += "'\\''";
+    else
+      out += c;
+  }
+  out += "'";
+  return out;
+}
+
 CampaignService::CampaignService(core::CampaignSpec campaign,
                                  std::vector<core::ScenarioJob> jobs,
                                  ServiceConfig config)
@@ -82,7 +94,7 @@ CampaignService::CampaignService(ServiceConfig config)
 std::size_t CampaignService::prepare() {
   fs::create_directories(config_.out_dir);
   if (!attached_)
-    write_file_atomic((fs::path(config_.out_dir) / "campaign.json").string(),
+    util::write_file_atomic((fs::path(config_.out_dir) / "campaign.json").string(),
                       campaign_.to_json().dump(2) + "\n");
 
   // Drop queue records for jobs the (possibly edited) campaign no longer
@@ -102,13 +114,13 @@ std::size_t CampaignService::prepare() {
     record.report_path =
         (fs::path(config_.out_dir) / ("BENCH_" + job.name + ".json")).string();
     record.log_path = (fs::path(config_.out_dir) / (job.name + ".log")).string();
-    write_file_atomic(record.spec_path, job.spec.to_json().dump(2) + "\n");
+    util::write_file_atomic(record.spec_path, job.spec.to_json().dump(2) + "\n");
 
     // Reconcile this job's previous outcome, if any. A job resumes as done
     // only when its recorded content hash still matches (the spec, its
     // trace bytes and the code version are unchanged) AND its report file
     // parses — a truncated/corrupt partial report is skipped and re-run,
-    // the same tolerance PointStore applies to its cache files.
+    // the same tolerance the LUT table cache applies to its files.
     bool done = false;
     if (!config_.force) {
       if (const auto outcome = queue_.done_record(job.name)) {
@@ -205,7 +217,7 @@ void CampaignService::run_job(const QueueJob& job, const std::string& worker_id)
   // the determinism contract, asserted by tests and the CI cache leg.
   if (!config_.force) {
     if (const auto bytes = cache_.lookup(job.hash_hex)) {
-      write_file_atomic(job.report_path, *bytes);
+      util::write_file_atomic(job.report_path, *bytes);
       Json outcome = Json::object();
       outcome.set("name", job.name);
       outcome.set("hash", job.hash_hex);
@@ -242,7 +254,7 @@ void CampaignService::run_job(const QueueJob& job, const std::string& worker_id)
   double cycles = 0.0;
   if (ok) {
     try {
-      report_bytes = read_file(job.report_path);
+      report_bytes = util::read_file(job.report_path);
       const Json report = Json::parse(report_bytes);
       if (const Json* c = report.find("cycles"); c != nullptr && c->is_number())
         cycles = c->as_double();
@@ -388,7 +400,7 @@ void CampaignService::write_status() const {
     text = status_json_locked().dump(2) + "\n";
   }
   try {
-    write_file_atomic(config_.status_path, text);
+    util::write_file_atomic(config_.status_path, text);
   } catch (const std::exception&) {
     // Best-effort surface: an unwritable status file must not fail jobs.
   }

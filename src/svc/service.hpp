@@ -30,6 +30,10 @@
 
 namespace razorbus::svc {
 
+// POSIX-shell single-quoting: inhibits every expansion, survives spaces,
+// '$', backticks and double quotes in operator-supplied paths.
+std::string shell_quote(const std::string& s);
+
 struct ServiceConfig {
   std::string out_dir;     // spec/report/log files land here
   std::string queue_dir;   // default <out_dir>/queue
@@ -78,7 +82,7 @@ class CampaignService {
   //    the job done — the resume path, counted as cached_prior;
   //  - --force, a hash mismatch (spec or trace or code version drift), a
   //    failed outcome, or a missing/torn report resets the job to pending
-  //    (torn-report tolerance: skip + re-run, like PointStore);
+  //    (torn-report tolerance: skip + re-run, like the LUT table cache);
   //  - queue records for jobs no longer in the campaign are dropped.
   // Returns the number of jobs resumed as already-done.
   std::size_t prepare();

@@ -7,6 +7,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/fsio.hpp"
+
 namespace razorbus::trace {
 
 namespace {
@@ -41,21 +43,6 @@ void write_chunked(std::ostream& os, const std::vector<BusWord>& words, Emit emi
   if (!chunk.empty()) flush();
 }
 
-// Bound a claimed element count by the bytes actually left in the stream,
-// so a corrupt header cannot commit a giant resize for a read that is
-// guaranteed to fail. Returns false when the stream is unseekable-clean
-// but the claim exceeds the remaining payload.
-bool claim_fits_stream(std::istream& is, std::uint64_t count, std::size_t elem_size) {
-  const std::istream::pos_type data_pos = is.tellg();
-  if (data_pos == std::istream::pos_type(-1)) return true;  // unseekable: let read fail
-  is.seekg(0, std::ios::end);
-  const std::istream::pos_type end_pos = is.tellg();
-  is.seekg(data_pos);
-  if (!is || end_pos < data_pos) return false;
-  const auto remaining = static_cast<std::uint64_t>(end_pos - data_pos);
-  return count <= remaining / elem_size;
-}
-
 std::optional<Trace> load_v1_body(std::istream& is) {
   std::uint64_t name_len = 0;
   if (!is.read(reinterpret_cast<char*>(&name_len), sizeof(name_len)) || name_len > 4096)
@@ -67,7 +54,7 @@ std::optional<Trace> load_v1_body(std::istream& is) {
   std::uint64_t n = 0;
   if (!is.read(reinterpret_cast<char*>(&n), sizeof(n)) || n > (1ull << 33))
     return std::nullopt;
-  if (!claim_fits_stream(is, n, sizeof(std::uint32_t))) return std::nullopt;
+  if (!util::claim_fits_stream(is, n, sizeof(std::uint32_t))) return std::nullopt;
   std::vector<std::uint32_t> raw(n);
   if (!is.read(reinterpret_cast<char*>(raw.data()),
                static_cast<std::streamsize>(n * sizeof(std::uint32_t))))
@@ -94,7 +81,7 @@ std::optional<Trace> load_v2_body(std::istream& is) {
   if (!is.read(reinterpret_cast<char*>(&n), sizeof(n)) || n > (1ull << 33))
     return std::nullopt;
   const auto lanes = static_cast<std::size_t>(lanes_per_word(trace.n_bits));
-  if (!claim_fits_stream(is, n, lanes * sizeof(std::uint64_t))) return std::nullopt;
+  if (!util::claim_fits_stream(is, n, lanes * sizeof(std::uint64_t))) return std::nullopt;
   trace.words.reserve(n);
   // Bulk-read the lane stream in chunks, then assemble words.
   constexpr std::size_t kChunkWords = 1 << 16;
@@ -150,7 +137,7 @@ class FileTraceSource final : public TraceSource {
       throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
     if (!is_.read(reinterpret_cast<char*>(&remaining_), sizeof(remaining_)) ||
         remaining_ > (1ull << 33) ||
-        !claim_fits_stream(is_, remaining_,
+        !util::claim_fits_stream(is_, remaining_,
                            v1_ ? sizeof(std::uint32_t)
                                : lanes_ * sizeof(std::uint64_t)))
       throw std::runtime_error("open_trace_stream: not a trace file: " + path_);

@@ -1,21 +1,22 @@
-#include "svc/fsio.hpp"
+#include "util/fsio.hpp"
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <istream>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
 
-namespace razorbus::svc {
+namespace razorbus::util {
 
 namespace {
 
-// Random per-process token for temp-file names — same idiom and rationale
-// as the point store and table cache writers: entropy is exactly what
+// Random per-process token for temp-file names. Entropy is exactly what
 // cross-process uniqueness needs, and the token never reaches simulation
-// state.
+// state: published bytes are identical whatever it draws.
 std::uint64_t process_token() {
   // razorlint: allow(no-raw-random): naming entropy, not a simulation draw.
   std::random_device rd;
@@ -35,7 +36,7 @@ std::string read_file(const std::string& path) {
 void write_file_atomic(const std::string& path, const std::string& content) {
   static const std::uint64_t tmp_token = process_token();
   // razorlint: allow(no-mutable-static): temp-name serial — naming only,
-  // never simulation state (same precedent as lut::PointStore::flush).
+  // never simulation state; file contents are identical regardless.
   static std::atomic<unsigned> tmp_serial{0};
   std::ostringstream tmp_name;
   tmp_name << path << ".tmp." << std::hex << tmp_token << "." << tmp_serial++;
@@ -61,16 +62,15 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   }
 }
 
-std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (const char c : s) {
-    if (c == '\'')
-      out += "'\\''";
-    else
-      out += c;
-  }
-  out += "'";
-  return out;
+bool claim_fits_stream(std::istream& is, std::uint64_t count, std::size_t elem_size) {
+  const std::istream::pos_type data_pos = is.tellg();
+  if (data_pos == std::istream::pos_type(-1)) return true;  // unseekable: let read fail
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end_pos = is.tellg();
+  is.seekg(data_pos);
+  if (!is || end_pos < data_pos) return false;
+  const auto remaining = static_cast<std::uint64_t>(end_pos - data_pos);
+  return count <= remaining / elem_size;
 }
 
-}  // namespace razorbus::svc
+}  // namespace razorbus::util

@@ -601,9 +601,10 @@ TEST_F(CampaignEndToEnd, EditedSpecInvalidatesResume) {
   EXPECT_EQ(aggregate.at("scenarios").at("sweep").at("cycles").as_int(), 4000);
 }
 
-// Torn-file tolerance (the PointStore contract, applied to job results): a
-// BENCH_<job>.json truncated by a crash mid-write must not wedge resume —
-// the job is skipped as done and re-run, restoring a byte-identical report.
+// Torn-file tolerance (the LUT table cache's contract, applied to job
+// results): a BENCH_<job>.json truncated by a crash mid-write must not
+// wedge resume — the job is skipped as done and re-run, restoring a
+// byte-identical report.
 TEST_F(CampaignEndToEnd, TornReportIsSkippedAndRerun) {
   std::ofstream spec("campaign_test_out/torn.json");
   spec << R"({"name": "torn", "scenarios": [

@@ -25,9 +25,10 @@
 
 #include "core/job_hash.hpp"
 #include "core/scenario_spec.hpp"
-#include "svc/fsio.hpp"
 #include "svc/queue.hpp"
 #include "svc/result_cache.hpp"
+#include "svc/service.hpp"
+#include "util/fsio.hpp"
 #include "util/json.hpp"
 
 namespace razorbus {
@@ -192,10 +193,10 @@ TEST(JobHash, TraceFileBytesAreHashed) {
         trace_path + R"("}, "cycles": 100})"));
     return job;
   };
-  svc::write_file_atomic(trace_path, "trace-bytes-v1");
+  util::write_file_atomic(trace_path, "trace-bytes-v1");
   const std::uint64_t first = core::job_content_hash(job_for());
   EXPECT_EQ(first, core::job_content_hash(job_for()));
-  svc::write_file_atomic(trace_path, "trace-bytes-v2");
+  util::write_file_atomic(trace_path, "trace-bytes-v2");
   EXPECT_NE(core::job_content_hash(job_for()), first);
   // Unreadable trace: identity still computes (the job fails at run time).
   fs::remove(trace_path);
@@ -272,7 +273,7 @@ TEST(JobQueue, DurableAcrossAKilledWorker) {
   Json stale = Json::object();
   stale.set("worker", "killed");
   stale.set("pid", static_cast<long long>(dead));
-  svc::write_file_atomic(dir + "/claims/j02.claim", stale.dump(2) + "\n");
+  util::write_file_atomic(dir + "/claims/j02.claim", stale.dump(2) + "\n");
 
   // A fresh queue handle (a new process after the kill) reclaims j02 and
   // does NOT re-run j01.
@@ -288,7 +289,7 @@ TEST(JobQueue, DurableAcrossAKilledWorker) {
 
   // A torn claim file (crash mid-write, before any pid landed) is stale.
   resumed.release("j02");
-  svc::write_file_atomic(dir + "/claims/j02.claim", "{\"worker\": \"torn");
+  util::write_file_atomic(dir + "/claims/j02.claim", "{\"worker\": \"torn");
   const auto reclaimed = contender.claim("w3");
   ASSERT_TRUE(reclaimed.has_value());
   EXPECT_EQ(reclaimed->name, "j02");
@@ -380,7 +381,7 @@ TEST(ResultCache, VerbatimRoundTripAndTornEntryTolerance) {
 
   // A torn entry — crash before the atomic publish — is a miss, and the
   // debris is cleared for the next insert.
-  svc::write_file_atomic(cache.entry_path(hash), report.substr(0, 10));
+  util::write_file_atomic(cache.entry_path(hash), report.substr(0, 10));
   EXPECT_FALSE(cache.lookup(hash).has_value());
   EXPECT_FALSE(fs::exists(cache.entry_path(hash)));
   cache.insert(hash, report);

@@ -1,7 +1,6 @@
 // The LUT cache stack: the in-memory memo behind build_or_load, the
-// RAZORBUS_CACHE_DIR disk cache with its key-hash check, and the
-// incremental content-addressed point store that makes overlapping
-// characterizations free (docs/characterization.md).
+// RAZORBUS_CACHE_DIR disk cache with its key-hash check, and single-flight
+// cold builds (docs/characterization.md).
 #include <gtest/gtest.h>
 
 #include <spawn.h>
@@ -20,10 +19,8 @@
 
 #include "lut/cache.hpp"
 #include "lut/pattern.hpp"
-#include "lut/point_store.hpp"
 #include "lut/table.hpp"
 #include "test_support.hpp"
-#include "util/bits.hpp"
 
 namespace razorbus::lut {
 namespace {
@@ -92,7 +89,6 @@ TEST(LutCache, MemoHitSkipsDisk) {
       sized_paper_bus(), driver, cfg, [&](int, int) { ++second_progress; }, &stats);
   EXPECT_EQ(second_progress, 0);
   EXPECT_EQ(stats.transient_sims, 0u);
-  EXPECT_EQ(stats.store_hits, 0u);
   ASSERT_FALSE(second.empty());
 
   const int cls = PatternClass::encode(VictimActivity::rise, NeighborActivity::fall,
@@ -129,46 +125,50 @@ TEST(LutCache, HashMismatchRebuildsCleanly) {
       DelayEnergyTable::load(in, table_key_hash(sized_paper_bus(), cfg_b)).has_value());
 }
 
-TEST(LutCache, PointStoreEliminatesRedundantSims) {
-  CacheDirGuard guard("./.razorbus_cache_store_test");
+// Bytes of a whole file (empty when it cannot be read).
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// A lost table file costs one rebuild, and the rebuild publishes the same
+// bytes: characterization is deterministic, so nothing downstream can tell
+// a rebuilt table from the original.
+TEST(LutCache, LostTableRebuildsByteIdentically) {
   const tech::DriverModel driver(sized_paper_bus().node);
   const LutConfig cfg = tiny_config(1.10);
-
-  BuildStats cold;
-  const DelayEnergyTable first =
-      build_or_load(sized_paper_bus(), driver, cfg, {}, &cold);
-  EXPECT_GT(cold.transient_sims, 0u);
-
-  // A second campaign re-characterising the same grid points against
-  // the shared store performs ZERO redundant transient runs: every point
-  // is a store hit. (Built directly — build_or_load's memo would answer
-  // without exercising the store at all.)
-  const auto store =
-      PointStore::open(cache_directory(), design_content_hash(sized_paper_bus()));
-  BuildStats warm;
-  const DelayEnergyTable second = DelayEnergyTable::build(sized_paper_bus(), driver,
-                                                          cfg, {}, store.get(), &warm);
-  EXPECT_EQ(warm.transient_sims, 0u);
-  EXPECT_GT(warm.store_hits, 0u);
-  // Bit-equal over the whole grid (bit patterns, so NaN hold delays match).
-  ASSERT_EQ(first.grid().size(), second.grid().size());
-  for (std::size_t vi = 0; vi < first.grid().size(); ++vi) {
-    for (int cls = 0; cls < PatternClass::kCount; ++cls) {
-      EXPECT_EQ(bit_cast<std::uint64_t>(first.delay_at(cls, 0, 0, vi)),
-                bit_cast<std::uint64_t>(second.delay_at(cls, 0, 0, vi)));
-      EXPECT_EQ(bit_cast<std::uint64_t>(first.energy_at(cls, 0, 0, vi)),
-                bit_cast<std::uint64_t>(second.energy_at(cls, 0, 0, vi)));
-    }
+  std::string original;
+  {
+    CacheDirGuard guard("./.razorbus_cache_lost_a_test");
+    build_or_load(sized_paper_bus(), driver, cfg);
+    const std::string path = table_path(cache_directory(), cfg);
+    original = file_bytes(path);
+    ASSERT_FALSE(original.empty());
+    std::filesystem::remove(path);
   }
+  // A fresh directory, so the in-process memo (keyed by directory) misses
+  // and the table is characterised again from scratch.
+  CacheDirGuard guard("./.razorbus_cache_lost_b_test");
+  BuildStats stats;
+  build_or_load(sized_paper_bus(), driver, cfg, {}, &stats);
+  EXPECT_GT(stats.transient_sims, 0u);
+  EXPECT_EQ(file_bytes(table_path(cache_directory(), cfg)), original);
+}
 
-  // An overlapping sub-range campaign only pays for points it never
-  // simulated before.
-  LutConfig sub = cfg;
-  sub.vmax = cfg.vmax - cfg.vstep;
-  BuildStats sub_stats;
-  build_or_load(sized_paper_bus(), driver, sub, {}, &sub_stats);
-  EXPECT_GT(sub_stats.store_hits, 0u);
-  EXPECT_LT(sub_stats.transient_sims, cold.transient_sims);
+// The table file is the only thing a cold build leaves behind: no temp
+// file, no lease, and no second cache format next to it.
+TEST(LutCache, ColdBuildLeavesOnlyTheTableFile) {
+  CacheDirGuard guard("./.razorbus_cache_only_table_test");
+  const tech::DriverModel driver(sized_paper_bus().node);
+  const LutConfig cfg = tiny_config(1.12);
+  build_or_load(sized_paper_bus(), driver, cfg);
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(cache_directory()))
+    names.push_back(entry.path().filename().string());
+  ASSERT_EQ(names.size(), 1u);
+  EXPECT_EQ(cache_directory() + "/" + names[0], table_path(cache_directory(), cfg));
 }
 
 // ------------------------------------------------- single-flight builds
@@ -187,7 +187,7 @@ std::uint64_t one_build_sims(const LutConfig& cfg, const std::string& dir) {
 // Concurrent cold callers of one table build it once: one thread holds the
 // build lease and characterises, the others wait and load what it
 // published — so the summed transient runs equal a single build's, and
-// the waiters do no build work at all (not even point-store lookups).
+// the waiters do no build work at all.
 TEST(LutSingleFlight, ConcurrentThreadsBuildOnce) {
   const LutConfig cfg = tiny_config(1.14);
   const std::uint64_t expected = one_build_sims(cfg, "./.razorbus_cache_sf_ref_test");
@@ -205,15 +205,12 @@ TEST(LutSingleFlight, ConcurrentThreadsBuildOnce) {
   for (auto& t : threads) t.join();
 
   std::uint64_t sims = 0;
-  std::uint64_t store_hits = 0;
   int builders = 0;
   for (const BuildStats& s : stats) {
     sims += s.transient_sims;
-    store_hits += s.store_hits;
     builders += s.points > 0 ? 1 : 0;
   }
   EXPECT_EQ(sims, expected);
-  EXPECT_EQ(store_hits, 0u);
   EXPECT_EQ(builders, 1);
   const int cls = PatternClass::encode(VictimActivity::rise, NeighborActivity::fall,
                                        NeighborActivity::fall);
@@ -304,9 +301,9 @@ TEST(LutSingleFlight, ThrowingLeaderReleasesWaiters) {
   leader.join();
   EXPECT_TRUE(thrown.load());
   EXPECT_FALSE(table.empty());
-  // The failed leader's simulated points were kept by the point store, so
-  // the new leader pays only for what is missing.
-  EXPECT_GT(stats.transient_sims + stats.store_hits, 0u);
+  // The failed leader published nothing, so the waiter that took the lease
+  // over characterised the table itself.
+  EXPECT_GT(stats.transient_sims, 0u);
   EXPECT_TRUE(std::filesystem::exists(table_path(cache_directory(), cfg)));
   EXPECT_FALSE(std::filesystem::exists(table_path(cache_directory(), cfg) + ".lease"));
 }
@@ -333,113 +330,6 @@ TEST(LutSingleFlight, StaleLeaseFilesAreTakenOver) {
     EXPECT_GT(stats.transient_sims, 0u);
     EXPECT_FALSE(std::filesystem::exists(lease));
   }
-}
-
-TEST(PointStoreTest, PersistsAndReloads) {
-  const std::string dir_a = "./.razorbus_pts_reload_a_test";
-  const std::string dir_b = "./.razorbus_pts_reload_b_test";
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
-  std::filesystem::create_directories(dir_a);
-  std::filesystem::create_directories(dir_b);
-
-  const std::uint64_t design_hash = 0x1234;
-  const std::uint64_t key_1 =
-      point_key(design_hash, tech::ProcessCorner::typical, 100.0, 1.10, 7);
-  const std::uint64_t key_2 =
-      point_key(design_hash, tech::ProcessCorner::slow, 25.0, 0.90, 12);
-  ASSERT_NE(key_1, key_2);
-
-  const auto store = PointStore::open(dir_a, design_hash);
-  EXPECT_EQ(store->size(), 0u);
-  EXPECT_FALSE(store->lookup(key_1).has_value());
-  store->insert(key_1, {1e-10, 2e-13});
-  store->insert(key_2, {-1.0, 5e-14});  // raw "victim did not switch" result
-  store->flush();
-
-  // The flushed bytes under a fresh directory model a cold process: the
-  // store loads both points and answers lookups from them.
-  std::filesystem::copy_file(store->path(), dir_b + "/points_1234.bin");
-  const auto reloaded = PointStore::open(dir_b, design_hash);
-  EXPECT_EQ(reloaded->size(), 2u);
-  const auto hit = reloaded->lookup(key_1);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->delay, 1e-10);
-  EXPECT_DOUBLE_EQ(hit->energy, 2e-13);
-  const auto raw = reloaded->lookup(key_2);
-  ASSERT_TRUE(raw.has_value());
-  EXPECT_DOUBLE_EQ(raw->delay, -1.0);
-  EXPECT_EQ(reloaded->stats().hits, 2u);
-  EXPECT_EQ(reloaded->stats().misses, 0u);
-
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
-}
-
-TEST(PointStoreTest, GarbageFileStartsColdAndIsReplaced) {
-  const std::string dir = "./.razorbus_pts_garbage_test";
-  const std::string dir_check = "./.razorbus_pts_garbage_check_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(dir_check);
-  std::filesystem::create_directories(dir);
-  std::filesystem::create_directories(dir_check);
-
-  const std::uint64_t design_hash = 0xbeef;
-  {
-    std::ofstream out(dir + "/points_beef.bin", std::ios::binary);
-    out << "not a point store at all";
-  }
-  const auto store = PointStore::open(dir, design_hash);
-  EXPECT_EQ(store->size(), 0u);  // foreign bytes: start cold, don't throw
-
-  store->insert(point_key(design_hash, tech::ProcessCorner::fast, 25.0, 1.0, 3),
-                {3e-11, 4e-14});
-  store->flush();  // atomically replaces the garbage
-
-  std::filesystem::copy_file(store->path(), dir_check + "/points_beef.bin");
-  EXPECT_EQ(PointStore::open(dir_check, design_hash)->size(), 1u);
-
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(dir_check);
-}
-
-// TSan-facing hammer (build_or_load is called from sharded
-// characterization, so the store must take concurrent lookup/insert/flush
-// traffic). Values are pure functions of the key, so whatever the
-// interleaving, the surviving contents are identical.
-TEST(PointStoreTest, ConcurrentLookupInsertFlush) {
-  const std::string dir = "./.razorbus_pts_hammer_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  const std::uint64_t design_hash = 0x77;
-  const auto store = PointStore::open(dir, design_hash);
-  const auto worker = [&](int base) {
-    for (int i = 0; i < 200; ++i) {
-      const int cls = (base + i) % 64;
-      const std::uint64_t key = point_key(design_hash, tech::ProcessCorner::slow,
-                                          100.0, 1.0 + 0.001 * cls, cls);
-      store->lookup(key);
-      store->insert(key, {1e-12 * cls, 1e-15});
-      if (i % 50 == 0) store->flush();
-    }
-  };
-  std::thread a(worker, 0);
-  std::thread b(worker, 100);
-  a.join();
-  b.join();
-  store->flush();
-
-  EXPECT_EQ(store->size(), 64u);  // one entry per distinct key
-  EXPECT_EQ(store->stats().inserts, 64u);
-  for (int cls = 0; cls < 64; ++cls) {
-    const auto hit = store->lookup(point_key(design_hash, tech::ProcessCorner::slow,
-                                             100.0, 1.0 + 0.001 * cls, cls));
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_DOUBLE_EQ(hit->delay, 1e-12 * cls);
-  }
-
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

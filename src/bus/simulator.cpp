@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "util/bits.hpp"
 #include "util/simd.hpp"
@@ -27,11 +29,19 @@ razor::FlopTiming make_timing(const interconnect::BusDesign& design) {
   return t;
 }
 
+// Capture verdict of a whole pattern class for one cycle (all wires of a
+// class share one arrival time). Mirrors DoubleSamplingFlop::clock.
+enum class Verdict : std::uint8_t {
+  held,          // arrival <= 0: latches keep their value, no line update
+  clean,         // captured by the main flop
+  corrected,     // main missed, shadow caught it: Error_L asserted
+  shadow_failed  // silent corruption (late arrival or short-path race)
+};
+
 // Branch order mirrors DoubleSamplingFlop::clock exactly; keeping the
 // comparison chain identical across every engine is what makes them all
 // bit-compatible.
-detail::Verdict classify_arrival_for(const razor::FlopTiming& timing, double arrival) {
-  using detail::Verdict;
+Verdict classify_arrival(const razor::FlopTiming& timing, double arrival) {
   if (arrival <= 0.0) return Verdict::held;
   if (timing.min_path_limit > 0.0 && arrival < timing.min_path_limit)
     return Verdict::shadow_failed;
@@ -40,59 +50,280 @@ detail::Verdict classify_arrival_for(const razor::FlopTiming& timing, double arr
   return Verdict::shadow_failed;
 }
 
-// One (prev, cur) combination of one shield group at one operating point:
-// the per-bit chain in ascending bit order — the exact operation sequence
-// every engine uses for this group's energy sub-sum — plus the zero-jitter
-// wire verdicts folded into error/shadow masks. `any_held` flags the
-// arrival <= 0 case the toggle-update table path cannot express. Shared by
-// the single-point and multi-point table builders so their tables agree
-// bit for bit by construction.
-struct ComboCell {
-  double energy = 0.0;
-  double worst = 0.0;
-  std::uint8_t error_mask = 0;
-  std::uint8_t shadow_mask = 0;
-  bool any_held = false;
+// One non-idle cycle of one operating point, as a kernel reports it.
+struct CycleOutcome {
+  double dynamic_energy = 0.0;
+  double worst_delay = 0.0;
+  BusWord error_mask;
+  BusWord shadow_mask;
+  BusWord line_update;
 };
 
-ComboCell compute_combo(int w, std::uint32_t pm, std::uint32_t cm,
-                        const double* scaled_energy, const double* class_delay,
-                        const detail::Verdict* class_verdict) {
-  using detail::Verdict;
-  using lut::NeighborActivity;
-  using lut::PatternClass;
-  ComboCell cell;
-  for (int b = 0; b < w; ++b) {
-    const auto victim = lut::classify_victim((pm >> b) & 1u, (cm >> b) & 1u);
-    const NeighborActivity left =
-        b == 0 ? NeighborActivity::shield
-               : lut::classify_neighbor((pm >> (b - 1)) & 1u, (cm >> (b - 1)) & 1u);
-    const NeighborActivity right =
-        b == w - 1 ? NeighborActivity::shield
-                   : lut::classify_neighbor((pm >> (b + 1)) & 1u, (cm >> (b + 1)) & 1u);
-    const int cls = PatternClass::encode(victim, left, right);
-    cell.energy += scaled_energy[cls];
-    const double d = class_delay[cls];
-    if (std::isnan(d)) continue;
-    if (d > cell.worst) cell.worst = d;
-    // A switching victim toggles by definition, so at zero jitter
-    // (line == prev) the wire is active and the class verdict is the
-    // wire verdict.
-    switch (class_verdict[cls]) {
-      case Verdict::held:
-        cell.any_held = true;
-        break;
-      case Verdict::clean:
-        break;
-      case Verdict::corrected:
-        cell.error_mask |= static_cast<std::uint8_t>(1u << b);
-        break;
-      case Verdict::shadow_failed:
-        cell.shadow_mask |= static_cast<std::uint8_t>(1u << b);
-        break;
+// The one verdict-to-mask rule: every wire that is not held takes the new
+// value; a corrected wire also asserts Error_L, a shadow failure is
+// silent corruption.
+void apply_verdict(Verdict verdict, const BusWord& wires, CycleOutcome& out) {
+  switch (verdict) {
+    case Verdict::held:
+      return;
+    case Verdict::clean:
+      break;
+    case Verdict::corrected:
+      out.error_mask |= wires;
+      break;
+    case Verdict::shadow_failed:
+      out.shadow_mask |= wires;
+      break;
+  }
+  out.line_update |= wires;
+}
+
+}  // namespace
+
+namespace detail {
+
+// BusSimulator owns one point at stride 1. MultiPointEngine hands out
+// point p of its structure-of-arrays tables: combo c of the point at
+// [c * stride], so the combo pointers start at row 0 + p; its per-class
+// blocks are contiguous at [p * kCount].
+struct PointTables {
+  double* leak;                // leakage energy per cycle
+  double* scaled_energy;       // [kCount], rail-scaled
+  double* class_delay;         // [kCount], zero-jitter arrival (NaN: holds)
+  double* combo_energy;        // [combo * stride]
+  double* combo_worst;         // [combo * stride]; null where not kept
+  std::uint8_t* combo_error;   // [combo * stride]
+  std::uint8_t* combo_shadow;  // [combo * stride]
+  std::size_t stride;
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::PointTables;
+
+std::size_t combo_index(const detail::WireGroup& g, const BusWord& prev,
+                        const BusWord& word) {
+  const std::uint64_t pm = prev.extract(g.start, g.width);
+  const std::uint64_t cm = word.extract(g.start, g.width);
+  return g.table_offset + static_cast<std::size_t>((pm << g.width) | cm);
+}
+
+// The one operating-point builder: slice the table at the driver-effective
+// voltage, scale energies to the rail, derive leakage and the per-class
+// zero-jitter verdicts, and fill the per-group combo tables. Returns
+// whether the toggle-update table path may serve the point: false when
+// the layout is untabulatable or some combo holds a wire (arrival <= 0).
+bool build_operating_point(const detail::BusContext& ctx, double supply,
+                           const tech::PvtCorner& env, const PointTables& out) {
+  const interconnect::BusDesign& design = ctx.design;
+  const double v_eff = env.effective_supply(supply);
+  const lut::TableSlice slice = ctx.table.slice(env.process, env.temp_c, v_eff);
+  // The tables are characterised at the drooped driver voltage; the charge
+  // is still drawn from the un-drooped supply rail.
+  const double energy_scale = supply / v_eff;
+
+  const double n_drivers =
+      static_cast<double>(design.n_bits) * static_cast<double>(design.n_segments);
+  const double leak_current =
+      ctx.leakage.current(design.repeater_size, env.process, env.temp_c, v_eff);
+  *out.leak = n_drivers * leak_current * supply * design.clock_period();
+
+  // Per-class precomputation: all wires of a class share one delay, so the
+  // capture verdict (at zero jitter) and the rail-scaled energy are
+  // functions of the operating point alone.
+  Verdict verdict[lut::PatternClass::kCount];
+  for (int cls = 0; cls < lut::PatternClass::kCount; ++cls) {
+    out.scaled_energy[cls] = slice.energy[cls] * energy_scale;
+    out.class_delay[cls] = slice.delay[cls];
+    verdict[cls] = std::isnan(slice.delay[cls])
+                       ? Verdict::held
+                       : classify_arrival(ctx.timing, slice.delay[cls]);
+  }
+  if (!ctx.layout.tabulatable) return false;
+
+  // One (prev, cur) combination of one shield group: the per-bit chain in
+  // ascending bit order is the exact operation sequence every kernel uses
+  // for this group's energy sub-sum. A switching victim toggles by
+  // definition, so at zero jitter (line == prev) the class verdict of
+  // every wire with a delay is its wire verdict.
+  bool table_ok = true;
+  bool built[detail::GroupLayout::kMaxTableWidth + 1] = {};
+  for (const auto& g : ctx.layout.groups) {
+    if (built[g.width]) continue;
+    built[g.width] = true;
+    const int w = g.width;
+    const std::uint32_t combos = 1u << w;
+    for (std::uint32_t pm = 0; pm < combos; ++pm) {
+      for (std::uint32_t cm = 0; cm < combos; ++cm) {
+        double energy = 0.0;
+        double worst = 0.0;
+        BusWord timed;  // wires with a delay
+        CycleOutcome cell;
+        for (int b = 0; b < w; ++b) {
+          const auto victim = lut::classify_victim((pm >> b) & 1u, (cm >> b) & 1u);
+          const lut::NeighborActivity left =
+              b == 0 ? lut::NeighborActivity::shield
+                     : lut::classify_neighbor((pm >> (b - 1)) & 1u, (cm >> (b - 1)) & 1u);
+          const lut::NeighborActivity right =
+              b == w - 1
+                  ? lut::NeighborActivity::shield
+                  : lut::classify_neighbor((pm >> (b + 1)) & 1u, (cm >> (b + 1)) & 1u);
+          const int cls = lut::PatternClass::encode(victim, left, right);
+          energy += out.scaled_energy[cls];
+          const double d = out.class_delay[cls];
+          if (std::isnan(d)) continue;
+          if (d > worst) worst = d;
+          const BusWord wire = BusWord(1) << b;
+          timed |= wire;
+          apply_verdict(verdict[cls], wire, cell);
+        }
+        // A held wire would silently keep its old value, which the
+        // toggle-update table path cannot express: such operating points
+        // go through the per-class kernel instead.
+        if (cell.line_update != timed) table_ok = false;
+        const std::size_t at = (g.table_offset + ((pm << w) | cm)) * out.stride;
+        out.combo_energy[at] = energy;
+        if (out.combo_worst) out.combo_worst[at] = worst;
+        out.combo_error[at] = static_cast<std::uint8_t>(cell.error_mask.low64());
+        out.combo_shadow[at] = static_cast<std::uint8_t>(cell.shadow_mask.low64());
+      }
     }
   }
-  return cell;
+  return table_ok;
+}
+
+// The trace-dependent work of one cycle — class masks for jitter_kernel,
+// per-wire classes for general_kernel — computed on first demand, then
+// shared by every operating point the cycle visits. One per cycle.
+class CyclePattern {
+ public:
+  CyclePattern(const WireClassifier& classifier, int* classes)
+      : classifier_(classifier), classes_(classes) {}
+
+  const ClassMaskSet& masks(const BusWord& prev, const BusWord& word) {
+    if (!masks_) masks_ = classifier_.masks(prev, word);
+    return *masks_;
+  }
+  const int* classes(const BusWord& prev, const BusWord& word) {
+    if (!have_classes_) classifier_.classify_all(prev, word, classes_);
+    have_classes_ = true;
+    return classes_;
+  }
+
+ private:
+  const WireClassifier& classifier_;
+  std::optional<ClassMaskSet> masks_;
+  int* classes_;
+  bool have_classes_ = false;
+};
+
+// Combo-table kernel for jitter-free cycles with the receiver in sync (the
+// common case): the whole cycle is one lookup per shield group. Every
+// toggling wire captures (cleanly or not), so the line update is simply
+// the toggle mask. kOnePoint compiles BusSimulator's stride-1 tables, which
+// also keep the worst arrival; the multi-point tables are strided and
+// leave worst_delay at zero. Reading the stride at run time costs the
+// single-point hot loop about a quarter of its speed.
+template <bool kOnePoint>
+CycleOutcome table_kernel(const detail::BusContext& ctx, const PointTables& t,
+                          const BusWord& prev, const BusWord& word) {
+  CycleOutcome out;
+  for (const auto& g : ctx.layout.groups) {
+    const std::size_t at = combo_index(g, prev, word) * (kOnePoint ? 1 : t.stride);
+    out.dynamic_energy += t.combo_energy[at];
+    if (kOnePoint && t.combo_worst[at] > out.worst_delay)
+      out.worst_delay = t.combo_worst[at];
+    out.error_mask |= BusWord(t.combo_error[at]) << g.start;
+    out.shadow_mask |= BusWord(t.combo_shadow[at]) << g.start;
+  }
+  out.line_update = (prev ^ word) & ctx.classifier.bits_mask();
+  return out;
+}
+
+// Bit-parallel per-class kernel for jittered (or desynced, or
+// combo-ineligible) cycles: energy and its per-group sub-sum order are
+// jitter-independent, so they still come from the combo tables; verdicts
+// are re-derived per present switching class (all wires of a class share
+// one arrival), comparing arrival = delay + jitter with exactly the flop's
+// comparison chain.
+CycleOutcome jitter_kernel(const detail::BusContext& ctx, const PointTables& t,
+                           CyclePattern& pattern, const BusWord& prev,
+                           const BusWord& word, const BusWord& line, double jitter) {
+  CycleOutcome out;
+  for (const auto& g : ctx.layout.groups)
+    out.dynamic_energy += t.combo_energy[combo_index(g, prev, word) * t.stride];
+
+  const ClassMaskSet& s = pattern.masks(prev, word);
+  const BusWord flop_toggle = word ^ line;
+  for (int v = 0; v < 2; ++v) {  // rise, fall: the switching victims
+    const BusWord vm = s.victim[v];
+    if (!vm.any()) continue;
+    for (int l = 0; l < 4; ++l) {
+      const BusWord vl = vm & s.left[l];
+      if (!vl.any()) continue;
+      for (int r = 0; r < 4; ++r) {
+        const BusWord mask = vl & s.right[r];
+        if (!mask.any()) continue;
+        const double arrival = t.class_delay[(v << 4) | (l << 2) | r] + jitter;
+        if (arrival > out.worst_delay) out.worst_delay = arrival;
+        const BusWord active = mask & flop_toggle;
+        if (active.any())
+          apply_verdict(classify_arrival(ctx.timing, arrival), active, out);
+      }
+    }
+  }
+  return out;
+}
+
+// Per-wire kernel for untabulatable layouts (a shield group wider than
+// kMaxTableWidth): classify every wire, keep the group-wise energy
+// accounting, and apply the class verdict per wire.
+CycleOutcome general_kernel(const detail::BusContext& ctx, const PointTables& t,
+                            CyclePattern& pattern, const BusWord& prev,
+                            const BusWord& word, const BusWord& line, double jitter) {
+  CycleOutcome out;
+  const int* classes = pattern.classes(prev, word);
+  const BusWord flop_toggle = word ^ line;
+  for (const auto& g : ctx.layout.groups) {
+    double sub = 0.0;
+    for (int bit = g.start; bit < g.start + g.width; ++bit) {
+      const int cls = classes[bit];
+      sub += t.scaled_energy[cls];
+      const double d = t.class_delay[cls];
+      if (std::isnan(d)) continue;
+      const double arrival = d + jitter;
+      if (arrival > out.worst_delay) out.worst_delay = arrival;
+      if (flop_toggle.test(bit))
+        apply_verdict(classify_arrival(ctx.timing, arrival), BusWord(1) << bit, out);
+    }
+    out.dynamic_energy += sub;
+  }
+  return out;
+}
+
+// A cycle off the table path: the per-wire kernel for untabulatable
+// layouts, the per-class kernel otherwise.
+CycleOutcome off_table_cycle(const detail::BusContext& ctx, const PointTables& t,
+                             CyclePattern& pattern, const BusWord& prev,
+                             const BusWord& word, const BusWord& line, double jitter) {
+  if (!ctx.layout.tabulatable)
+    return general_kernel(ctx, t, pattern, prev, word, line, jitter);
+  return jitter_kernel(ctx, t, pattern, prev, word, line, jitter);
+}
+
+// The kernel selection of both engines (DESIGN.md §5): a non-idle cycle
+// of one operating point takes the table kernel when it is jitter-free,
+// the point is table-eligible and its receiver is in sync with the bus;
+// off_table_cycle serves it otherwise. Callers branch on this themselves:
+// a call that wraps both kernels stays out of line and costs the
+// single-point hot loop about a quarter of its speed.
+bool table_path(const detail::BusContext& ctx, bool table_ok, const BusWord& prev,
+                const BusWord& line, double jitter) {
+  // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
+  // the table path is only valid for that exact case (DESIGN.md §5).
+  return jitter == 0.0 && table_ok && ((line ^ prev) & ctx.classifier.bits_mask()).none();
 }
 
 }  // namespace
@@ -132,35 +363,38 @@ GroupLayout GroupLayout::build(const interconnect::BusDesign& design) {
   return layout;
 }
 
+BusContext::BusContext(const interconnect::BusDesign& design_in,
+                       const lut::DelayEnergyTable& table_in, const char* engine)
+    : design(design_in),
+      table(table_in),
+      leakage(design_in.node),
+      classifier(design_in),
+      timing(make_timing(design_in)) {
+  design.validate();
+  if (design.repeater_size <= 0.0)
+    throw std::invalid_argument(std::string(engine) + ": repeaters not sized");
+  layout = GroupLayout::build(design);
+}
+
 }  // namespace detail
 
 BusSimulator::BusSimulator(const interconnect::BusDesign& design,
                            const lut::DelayEnergyTable& table,
                            tech::PvtCorner environment,
                            razor::RecoveryCostModel recovery)
-    : design_(design),
-      table_(table),
+    : ctx_(design, table, "BusSimulator"),
       environment_(environment),
       recovery_(recovery),
-      leakage_(design.node),
-      classifier_(design),
-      bank_(design.n_bits, make_timing(design)),
-      timing_(make_timing(design)),
+      bank_(design.n_bits, ctx_.timing),
+      combo_energy_(ctx_.layout.total_combos, 0.0),
+      combo_worst_(ctx_.layout.total_combos, 0.0),
+      combo_error_(ctx_.layout.total_combos, 0),
+      combo_shadow_(ctx_.layout.total_combos, 0),
       arrivals_(static_cast<std::size_t>(design.n_bits), -1.0),
       classes_(static_cast<std::size_t>(design.n_bits), 0) {
-  design_.validate();
-  if (design_.repeater_size <= 0.0)
-    throw std::invalid_argument("BusSimulator: repeaters not sized");
-  cycle_overhead_ = recovery_.cycle_overhead(design_.n_bits);
-  error_overhead_ = recovery_.error_overhead(design_.n_bits);
-  layout_ = detail::GroupLayout::build(design_);
-  if (layout_.tabulatable) {
-    combo_energy_.assign(layout_.total_combos, 0.0);
-    combo_worst_.assign(layout_.total_combos, 0.0);
-    combo_error_.assign(layout_.total_combos, 0);
-    combo_shadow_.assign(layout_.total_combos, 0);
-  }
-  set_supply(design_.node.vdd_nominal);
+  cycle_overhead_ = recovery_.cycle_overhead(design.n_bits);
+  error_overhead_ = recovery_.error_overhead(design.n_bits);
+  set_supply(design.node.vdd_nominal);
 }
 
 void BusSimulator::set_supply(double volts) {
@@ -212,64 +446,23 @@ void BusSimulator::set_engine_mode(EngineMode mode) {
   // engine re-seeds its flop bank from it, the bit-parallel engine reads
   // it directly. Counters and totals carry over untouched.
   if (mode_ == EngineMode::reference)
-    bank_ = razor::FlopBank(design_.n_bits, timing_, line_word_);
+    bank_ = razor::FlopBank(ctx_.design.n_bits, ctx_.timing, line_word_);
 }
 
-BusSimulator::Verdict BusSimulator::classify_arrival(double arrival) const {
-  return classify_arrival_for(timing_, arrival);
+detail::PointTables BusSimulator::point_tables() {
+  return {&leakage_energy_per_cycle_,
+          scaled_energy_,
+          class_delay_,
+          combo_energy_.data(),
+          combo_worst_.data(),
+          combo_error_.data(),
+          combo_shadow_.data(),
+          1};
 }
 
 void BusSimulator::refresh_operating_point() {
-  const double v_eff = environment_.effective_supply(supply_);
-  slice_ = table_.slice(environment_.process, environment_.temp_c, v_eff);
-  // The tables are characterised at the drooped driver voltage; the charge
-  // is still drawn from the un-drooped supply rail.
-  energy_scale_ = supply_ / v_eff;
-
-  const double n_drivers =
-      static_cast<double>(design_.n_bits) * static_cast<double>(design_.n_segments);
-  const double leak_current = leakage_.current(
-      design_.repeater_size, environment_.process, environment_.temp_c, v_eff);
-  leakage_energy_per_cycle_ = n_drivers * leak_current * supply_ * design_.clock_period();
-
-  // Per-class precomputation: all wires of a class share one delay, so the
-  // capture verdict (at zero jitter) and the rail-scaled energy are
-  // functions of the operating point alone.
-  for (int cls = 0; cls < lut::PatternClass::kCount; ++cls) {
-    scaled_energy_[cls] = slice_.energy[cls] * energy_scale_;
-    class_delay_[cls] = slice_.delay[cls];
-    class_verdict_[cls] = std::isnan(class_delay_[cls])
-                              ? Verdict::held
-                              : classify_arrival(class_delay_[cls]);
-  }
-  if (layout_.tabulatable) rebuild_group_tables();
-}
-
-void BusSimulator::rebuild_group_tables() {
-  combo_zero_jitter_ok_ = true;
-  bool built[detail::GroupLayout::kMaxTableWidth + 1] = {};
-  for (const auto& g : layout_.groups) {
-    if (built[g.width]) continue;
-    built[g.width] = true;
-    const int w = g.width;
-    const std::uint32_t combos = 1u << w;
-    for (std::uint32_t pm = 0; pm < combos; ++pm) {
-      for (std::uint32_t cm = 0; cm < combos; ++cm) {
-        const ComboCell cell =
-            compute_combo(w, pm, cm, scaled_energy_, class_delay_, class_verdict_);
-        // An arrival <= 0 verdict in any reachable combo means the wire
-        // would silently keep its old value, which the toggle-update
-        // table path cannot express — route such operating points
-        // through the per-class kernel instead.
-        if (cell.any_held) combo_zero_jitter_ok_ = false;
-        const std::size_t idx = g.table_offset + ((pm << w) | cm);
-        combo_energy_[idx] = cell.energy;
-        combo_worst_[idx] = cell.worst;
-        combo_error_[idx] = cell.error_mask;
-        combo_shadow_[idx] = cell.shadow_mask;
-      }
-    }
-  }
+  combo_zero_jitter_ok_ =
+      build_operating_point(ctx_, supply_, environment_, point_tables());
 }
 
 void BusSimulator::set_timing_jitter(double sigma_seconds, std::uint64_t seed) {
@@ -305,13 +498,13 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
     return out;
   }
 
-  classifier_.classify_all(prev_word_, word, classes_.data());
+  ctx_.classifier.classify_all(prev_word_, word, classes_.data());
   const double jitter =
       jitter_sigma_ > 0.0 ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
 
   double worst = 0.0;
-  for (int bit = 0; bit < classifier_.n_bits(); ++bit) {
-    const double d = slice_.delay[classes_[static_cast<std::size_t>(bit)]];
+  for (int bit = 0; bit < ctx_.classifier.n_bits(); ++bit) {
+    const double d = class_delay_[classes_[static_cast<std::size_t>(bit)]];
     if (std::isnan(d)) {
       arrivals_[static_cast<std::size_t>(bit)] = -1.0;
     } else {
@@ -325,7 +518,7 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
   // bit-parallel engine's precomputed group tables, so the engines'
   // energy totals match bit for bit.
   double dynamic_energy = 0.0;
-  for (const auto& g : layout_.groups) {
+  for (const auto& g : ctx_.layout.groups) {
     double sub = 0.0;
     for (int bit = g.start; bit < g.start + g.width; ++bit)
       sub += scaled_energy_[classes_[static_cast<std::size_t>(bit)]];
@@ -352,122 +545,6 @@ CycleResult BusSimulator::step_reference(const BusWord& word) {
 
 // ------------------------------------------------------------ bit-parallel
 
-BusSimulator::CycleOutcome BusSimulator::table_kernel(const BusWord& prev,
-                                                      const BusWord& word) const {
-  // Jitter-free, receiver in sync: the whole cycle is one lookup per
-  // shield group. Every toggling wire captures (cleanly or not), so the
-  // line update is simply the toggle mask.
-  CycleOutcome out;
-  for (const auto& g : layout_.groups) {
-    const std::uint64_t pm = prev.extract(g.start, g.width);
-    const std::uint64_t cm = word.extract(g.start, g.width);
-    const std::size_t idx =
-        g.table_offset + static_cast<std::size_t>((pm << g.width) | cm);
-    out.dynamic_energy += combo_energy_[idx];
-    if (combo_worst_[idx] > out.worst_delay) out.worst_delay = combo_worst_[idx];
-    out.error_mask |= BusWord(combo_error_[idx]) << g.start;
-    out.shadow_mask |= BusWord(combo_shadow_[idx]) << g.start;
-  }
-  out.line_update = (prev ^ word) & classifier_.bits_mask();
-  return out;
-}
-
-BusSimulator::CycleOutcome BusSimulator::jitter_kernel(const BusWord& prev,
-                                                       const BusWord& word,
-                                                       const BusWord& line,
-                                                       double jitter) const {
-  CycleOutcome out;
-  // Energy and the per-group sub-sum order are jitter-independent: reuse
-  // the combo tables.
-  for (const auto& g : layout_.groups) {
-    const std::uint64_t pm = prev.extract(g.start, g.width);
-    const std::uint64_t cm = word.extract(g.start, g.width);
-    out.dynamic_energy +=
-        combo_energy_[g.table_offset + static_cast<std::size_t>((pm << g.width) | cm)];
-  }
-
-  // Verdicts shift with the common-mode jitter: re-derive them per present
-  // switching class (all wires of a class share one arrival), comparing
-  // arrival = delay + jitter with exactly the flop's comparison chain.
-  const ClassMaskSet s = classifier_.masks(prev, word);
-  const BusWord flop_toggle = word ^ line;
-  for (int v = 0; v < 2; ++v) {  // rise, fall: the switching victims
-    const BusWord vm = s.victim[v];
-    if (!vm.any()) continue;
-    for (int l = 0; l < 4; ++l) {
-      const BusWord vl = vm & s.left[l];
-      if (!vl.any()) continue;
-      for (int r = 0; r < 4; ++r) {
-        const BusWord mask = vl & s.right[r];
-        if (!mask.any()) continue;
-        const int cls = (v << 4) | (l << 2) | r;
-        const double arrival = class_delay_[cls] + jitter;
-        if (arrival > out.worst_delay) out.worst_delay = arrival;
-        const BusWord active = mask & flop_toggle;
-        if (!active.any()) continue;
-        switch (classify_arrival(arrival)) {
-          case Verdict::held:
-            break;
-          case Verdict::clean:
-            out.line_update |= active;
-            break;
-          case Verdict::corrected:
-            out.error_mask |= active;
-            out.line_update |= active;
-            break;
-          case Verdict::shadow_failed:
-            out.shadow_mask |= active;
-            out.line_update |= active;
-            break;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-BusSimulator::CycleOutcome BusSimulator::general_kernel(const BusWord& prev,
-                                                        const BusWord& word,
-                                                        const BusWord& line,
-                                                        double jitter) {
-  // Per-wire fallback for untabulatable layouts (a shield group wider than
-  // kMaxTableWidth): classify every wire, keep the group-wise energy
-  // accounting, and apply the class verdict per wire.
-  CycleOutcome out;
-  classifier_.classify_all(prev, word, classes_.data());
-  const BusWord flop_toggle = word ^ line;
-  for (const auto& g : layout_.groups) {
-    double sub = 0.0;
-    for (int bit = g.start; bit < g.start + g.width; ++bit) {
-      const int cls = classes_[static_cast<std::size_t>(bit)];
-      sub += scaled_energy_[cls];
-      const double d = class_delay_[cls];
-      if (std::isnan(d)) continue;
-      const double arrival = d + jitter;
-      if (arrival > out.worst_delay) out.worst_delay = arrival;
-      if (!flop_toggle.test(bit)) continue;
-      const BusWord wire = BusWord(1) << bit;
-      switch (classify_arrival(arrival)) {
-        case Verdict::held:
-          break;
-        case Verdict::clean:
-          out.line_update |= wire;
-          break;
-        case Verdict::corrected:
-          out.error_mask |= wire;
-          out.line_update |= wire;
-          break;
-        case Verdict::shadow_failed:
-          out.shadow_mask |= wire;
-          out.line_update |= wire;
-          break;
-      }
-    }
-    out.dynamic_energy += sub;
-  }
-  return out;
-}
-
 CycleResult BusSimulator::step_bit_parallel(const BusWord& word) {
   CycleResult out;
 
@@ -478,16 +555,12 @@ CycleResult BusSimulator::step_bit_parallel(const BusWord& word) {
 
   const double jitter =
       jitter_sigma_ > 0.0 ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
-  const bool in_sync = ((line_word_ ^ prev_word_) & classifier_.bits_mask()).none();
-  CycleOutcome k;
-  if (!layout_.tabulatable)
-    k = general_kernel(prev_word_, word, line_word_, jitter);
-  // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
-  // the combo-table fast path is only valid for that exact case (DESIGN.md §5).
-  else if (jitter == 0.0 && in_sync && combo_zero_jitter_ok_)
-    k = table_kernel(prev_word_, word);
-  else
-    k = jitter_kernel(prev_word_, word, line_word_, jitter);
+  const detail::PointTables tables = point_tables();
+  CyclePattern pattern(ctx_.classifier, classes_.data());
+  const CycleOutcome k =
+      table_path(ctx_, combo_zero_jitter_ok_, prev_word_, line_word_, jitter)
+          ? table_kernel<true>(ctx_, tables, prev_word_, word)
+          : off_table_cycle(ctx_, tables, pattern, prev_word_, word, line_word_, jitter);
 
   line_word_ = (line_word_ & ~k.line_update) | (word & k.line_update);
   out.error = k.error_mask.any();
@@ -522,7 +595,7 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
   const double cycle_ovh = cycle_overhead_;
   const double error_ovh = error_overhead_;
   const bool jitter_on = jitter_sigma_ > 0.0;
-  const BusWord bits_mask = classifier_.bits_mask();
+  const detail::PointTables tables = point_tables();
 
   for (std::size_t i = 0; i < n; ++i) {
     const BusWord word = words[i];
@@ -533,15 +606,11 @@ void BusSimulator::run_bit_parallel(const BusWord* words, std::size_t n) {
       continue;
     }
     const double jitter = jitter_on ? jitter_rng_.normal(0.0, jitter_sigma_) : 0.0;
-    CycleOutcome k;
-    if (!layout_.tabulatable)
-      k = general_kernel(prev, word, line, jitter);
-    // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn this cycle";
-    // the table path is only valid for that exact case (DESIGN.md §5).
-    else if (jitter == 0.0 && ((line ^ prev) & bits_mask).none() && combo_zero_jitter_ok_)
-      k = table_kernel(prev, word);
-    else
-      k = jitter_kernel(prev, word, line, jitter);
+    CyclePattern pattern(ctx_.classifier, classes_.data());
+    const CycleOutcome k =
+        table_path(ctx_, combo_zero_jitter_ok_, prev, line, jitter)
+            ? table_kernel<true>(ctx_, tables, prev, word)
+            : off_table_cycle(ctx_, tables, pattern, prev, word, line, jitter);
 
     line = (line & ~k.line_update) | (word & k.line_update);
     prev = word;
@@ -583,19 +652,19 @@ RunningTotals BusSimulator::run(const std::uint32_t* words, std::size_t n) {
 
 void BusSimulator::reset(const BusWord& initial_word) {
   prev_word_ = initial_word;
-  line_word_ = initial_word & classifier_.bits_mask();
+  line_word_ = initial_word & ctx_.classifier.bits_mask();
   totals_ = RunningTotals{};
-  bank_ = razor::FlopBank(design_.n_bits, timing_, initial_word);
+  bank_ = razor::FlopBank(ctx_.design.n_bits, ctx_.timing, initial_word);
 }
 
 double BusSimulator::peek_cycle_energy(const BusWord& word) const {
   // Per-group sub-sums, same accounting as the engines.
   double energy = leakage_energy_per_cycle_;
   if (word == prev_word_) return energy;
-  for (const auto& g : layout_.groups) {
+  for (const auto& g : ctx_.layout.groups) {
     double sub = 0.0;
     for (int bit = g.start; bit < g.start + g.width; ++bit)
-      sub += slice_.energy[classifier_.classify(prev_word_, word, bit)] * energy_scale_;
+      sub += scaled_energy_[ctx_.classifier.classify(prev_word_, word, bit)];
     energy += sub;
   }
   return energy;
@@ -625,45 +694,38 @@ MultiPointEngine::MultiPointEngine(const interconnect::BusDesign& design,
                                    const lut::DelayEnergyTable& table,
                                    const std::vector<OperatingPoint>& points,
                                    const MultiPointConfig& config)
-    : design_(design),
-      table_(table),
-      leakage_(design.node),
-      classifier_(design),
-      timing_(make_timing(design)),
+    : ctx_(design, table, "MultiPointEngine"),
       jitter_sigma_(config.timing_jitter_sigma),
       jitter_rng_(config.jitter_seed),
       classes_(static_cast<std::size_t>(design.n_bits), 0) {
-  design_.validate();
-  if (design_.repeater_size <= 0.0)
-    throw std::invalid_argument("MultiPointEngine: repeaters not sized");
   if (points.empty())
     throw std::invalid_argument("MultiPointEngine: empty operating-point list");
   if (jitter_sigma_ < 0.0) throw std::invalid_argument("negative jitter sigma");
 
-  cycle_overhead_ = config.recovery.cycle_overhead(design_.n_bits);
-  cycle_error_overhead_ =
-      cycle_overhead_ + config.recovery.error_overhead(design_.n_bits);
-  layout_ = detail::GroupLayout::build(design_);
+  cycle_overhead_ = config.recovery.cycle_overhead(design.n_bits);
+  cycle_error_overhead_ = cycle_overhead_ + config.recovery.error_overhead(design.n_bits);
 
   n_points_ = points.size();
-  // Rows padded to a fixed four-lane granule (the widest double vector in
-  // util/simd.cpp); padding slots stay zero and never reach the totals.
+  // Rows padded to a four-double granule so the row loops of util/simd.cpp
+  // run without a scalar tail; padding slots stay zero and never reach
+  // the totals.
   stride_ = (n_points_ + 3) & ~std::size_t{3};
 
   leak_.assign(stride_, 0.0);
   scaled_energy_.assign(n_points_ * lut::PatternClass::kCount, 0.0);
   class_delay_.assign(n_points_ * lut::PatternClass::kCount, 0.0);
-  class_verdict_.assign(n_points_ * lut::PatternClass::kCount, detail::Verdict::held);
-  combo_ok_.assign(n_points_, 1);
-  if (layout_.tabulatable) {
-    combo_energy_.assign(layout_.total_combos * stride_, 0.0);
-    combo_error_.assign(layout_.total_combos * stride_, 0);
-    combo_shadow_.assign(layout_.total_combos * stride_, 0);
+  combo_energy_.assign(ctx_.layout.total_combos * stride_, 0.0);
+  combo_error_.assign(ctx_.layout.total_combos * stride_, 0);
+  combo_shadow_.assign(ctx_.layout.total_combos * stride_, 0);
+  combo_ok_.assign(n_points_, 0);
+  all_combo_ok_ = true;
+  for (std::size_t p = 0; p < n_points_; ++p) {
+    if (points[p].supply <= 0.0)
+      throw std::invalid_argument("MultiPointEngine: non-positive supply");
+    combo_ok_[p] = build_operating_point(ctx_, points[p].supply, points[p].environment,
+                                         point_tables(p));
+    all_combo_ok_ = all_combo_ok_ && combo_ok_[p];
   }
-  for (std::size_t p = 0; p < n_points_; ++p) build_point(p, points[p]);
-  all_combo_ok_ = layout_.tabulatable;
-  for (std::size_t p = 0; p < n_points_; ++p)
-    if (!combo_ok_[p]) all_combo_ok_ = false;
 
   line_.assign(n_points_, BusWord());
   errors_.assign(n_points_, 0);
@@ -676,58 +738,21 @@ MultiPointEngine::MultiPointEngine(const interconnect::BusDesign& design,
   reset(config.initial_word);
 }
 
-void MultiPointEngine::build_point(std::size_t p, const OperatingPoint& point) {
-  if (point.supply <= 0.0)
-    throw std::invalid_argument("MultiPointEngine: non-positive supply");
-  // Exactly BusSimulator::refresh_operating_point, written into row `p`
-  // of the structure-of-arrays tables.
-  const tech::PvtCorner& env = point.environment;
-  const double v_eff = env.effective_supply(point.supply);
-  const lut::TableSlice slice = table_.slice(env.process, env.temp_c, v_eff);
-  const double energy_scale = point.supply / v_eff;
-
-  const double n_drivers =
-      static_cast<double>(design_.n_bits) * static_cast<double>(design_.n_segments);
-  const double leak_current =
-      leakage_.current(design_.repeater_size, env.process, env.temp_c, v_eff);
-  leak_[p] = n_drivers * leak_current * point.supply * design_.clock_period();
-
-  double* se = &scaled_energy_[p * lut::PatternClass::kCount];
-  double* cd = &class_delay_[p * lut::PatternClass::kCount];
-  detail::Verdict* cv = &class_verdict_[p * lut::PatternClass::kCount];
-  for (int cls = 0; cls < lut::PatternClass::kCount; ++cls) {
-    se[cls] = slice.energy[cls] * energy_scale;
-    cd[cls] = slice.delay[cls];
-    cv[cls] = std::isnan(cd[cls]) ? detail::Verdict::held
-                                  : classify_arrival_for(timing_, cd[cls]);
-  }
-
-  if (!layout_.tabulatable) return;
-  bool ok = true;
-  bool built[detail::GroupLayout::kMaxTableWidth + 1] = {};
-  for (const auto& g : layout_.groups) {
-    if (built[g.width]) continue;
-    built[g.width] = true;
-    const int w = g.width;
-    const std::uint32_t combos = 1u << w;
-    for (std::uint32_t pm = 0; pm < combos; ++pm) {
-      for (std::uint32_t cm = 0; cm < combos; ++cm) {
-        const ComboCell cell = compute_combo(w, pm, cm, se, cd, cv);
-        if (cell.any_held) ok = false;
-        const std::size_t row =
-            (g.table_offset + static_cast<std::size_t>((pm << w) | cm)) * stride_;
-        combo_energy_[row + p] = cell.energy;
-        combo_error_[row + p] = cell.error_mask;
-        combo_shadow_[row + p] = cell.shadow_mask;
-      }
-    }
-  }
-  combo_ok_[p] = ok ? 1 : 0;
+detail::PointTables MultiPointEngine::point_tables(std::size_t p) {
+  constexpr std::size_t kCount = lut::PatternClass::kCount;
+  return {&leak_[p],
+          &scaled_energy_[p * kCount],
+          &class_delay_[p * kCount],
+          combo_energy_.data() + p,
+          nullptr,
+          combo_error_.data() + p,
+          combo_shadow_.data() + p,
+          stride_};
 }
 
 void MultiPointEngine::reset(const BusWord& initial_word) {
   prev_word_ = initial_word;
-  std::fill(line_.begin(), line_.end(), initial_word & classifier_.bits_mask());
+  std::fill(line_.begin(), line_.end(), initial_word & ctx_.classifier.bits_mask());
   all_fast_ = all_combo_ok_;
   cycles_ = 0;
   std::fill(errors_.begin(), errors_.end(), 0);
@@ -760,18 +785,14 @@ void MultiPointEngine::run(const BusWord* words, std::size_t n) {
 
 void MultiPointEngine::fast_cycle(const BusWord& word) {
   // Every point is on the zero-jitter table path: the cycle is one combo
-  // row per shield group, reduced with the SIMD kernels. Receiver lines
-  // stay implicitly in sync (line == word on the signal wires), so no
-  // per-point line update is needed.
+  // row per shield group, reduced with the util/simd.hpp row loops.
+  // Receiver lines stay implicitly in sync (line == word on the signal
+  // wires), so no per-point line update is needed.
   std::fill(dyn_.begin(), dyn_.end(), 0.0);
   std::memset(errb_.data(), 0, stride_);
   std::memset(shadowb_.data(), 0, stride_);
-  const BusWord prev = prev_word_;
-  for (const auto& g : layout_.groups) {
-    const std::uint64_t pm = prev.extract(g.start, g.width);
-    const std::uint64_t cm = word.extract(g.start, g.width);
-    const std::size_t row =
-        (g.table_offset + static_cast<std::size_t>((pm << g.width) | cm)) * stride_;
+  for (const auto& g : ctx_.layout.groups) {
+    const std::size_t row = combo_index(g, prev_word_, word) * stride_;
     simd::add_rows(dyn_.data(), combo_energy_.data() + row, stride_);
     simd::or_bytes(errb_.data(), combo_error_.data() + row, stride_);
     simd::or_bytes(shadowb_.data(), combo_shadow_.data() + row, stride_);
@@ -789,151 +810,35 @@ void MultiPointEngine::fast_cycle(const BusWord& word) {
 void MultiPointEngine::mixed_cycle(const BusWord& word, double jitter) {
   // The general cycle: jittered arrivals, a desynced receiver, a
   // combo-ineligible point, or an untabulatable layout. Points are walked
-  // one at a time with the scalar engine's own per-point kernel
-  // selection; the trace-dependent pattern work (class masks / per-wire
-  // classes) is shared across points, computed lazily on first demand.
-  const BusWord prev = prev_word_;
-  const BusWord bits_mask = classifier_.bits_mask();
+  // one at a time through the single-point engine's own kernel selection
+  // (table_path); the trace-dependent pattern work is shared.
+  const BusWord bits_mask = ctx_.classifier.bits_mask();
   if (all_fast_) {
     // Leaving the fast path: materialize the per-point receiver lines
     // (all equal to prev on the signal wires while the path was hot).
-    std::fill(line_.begin(), line_.end(), prev & bits_mask);
-    all_fast_ = false;
+    std::fill(line_.begin(), line_.end(), prev_word_ & bits_mask);
   }
-
-  ClassMaskSet masks{};
-  bool have_masks = false;
-  bool have_classes = false;
-
-  ++cycles_;
-  for (std::size_t p = 0; p < n_points_; ++p) {
-    const double* cd = &class_delay_[p * lut::PatternClass::kCount];
-    double dynamic_energy = 0.0;
-    BusWord error_mask, shadow_mask, line_update;
-
-    if (!layout_.tabulatable) {
-      // Per-wire general kernel (BusSimulator::general_kernel).
-      if (!have_classes) {
-        classifier_.classify_all(prev, word, classes_.data());
-        have_classes = true;
-      }
-      const double* se = &scaled_energy_[p * lut::PatternClass::kCount];
-      const BusWord flop_toggle = word ^ line_[p];
-      for (const auto& g : layout_.groups) {
-        double sub = 0.0;
-        for (int bit = g.start; bit < g.start + g.width; ++bit) {
-          const int cls = classes_[static_cast<std::size_t>(bit)];
-          sub += se[cls];
-          const double d = cd[cls];
-          if (std::isnan(d)) continue;
-          const double arrival = d + jitter;
-          if (!flop_toggle.test(bit)) continue;
-          const BusWord wire = BusWord(1) << bit;
-          switch (classify_arrival_for(timing_, arrival)) {
-            case detail::Verdict::held:
-              break;
-            case detail::Verdict::clean:
-              line_update |= wire;
-              break;
-            case detail::Verdict::corrected:
-              error_mask |= wire;
-              line_update |= wire;
-              break;
-            case detail::Verdict::shadow_failed:
-              shadow_mask |= wire;
-              line_update |= wire;
-              break;
-          }
-        }
-        dynamic_energy += sub;
-      }
-      // razorlint: allow(float-eq): exact 0.0 marks "no jitter drawn".
-    } else if (jitter == 0.0 && combo_ok_[p] &&
-               ((line_[p] ^ prev) & bits_mask).none()) {
-      // This point still qualifies for the table path
-      // (BusSimulator::table_kernel), scalar over its combo rows.
-      for (const auto& g : layout_.groups) {
-        const std::uint64_t pm = prev.extract(g.start, g.width);
-        const std::uint64_t cm = word.extract(g.start, g.width);
-        const std::size_t row =
-            (g.table_offset + static_cast<std::size_t>((pm << g.width) | cm)) *
-            stride_;
-        dynamic_energy += combo_energy_[row + p];
-        error_mask |= BusWord(combo_error_[row + p]) << g.start;
-        shadow_mask |= BusWord(combo_shadow_[row + p]) << g.start;
-      }
-      line_update = (prev ^ word) & bits_mask;
-    } else {
-      // Per-class kernel (BusSimulator::jitter_kernel): energy from the
-      // combo rows, verdicts re-derived per present switching class.
-      for (const auto& g : layout_.groups) {
-        const std::uint64_t pm = prev.extract(g.start, g.width);
-        const std::uint64_t cm = word.extract(g.start, g.width);
-        dynamic_energy +=
-            combo_energy_[(g.table_offset +
-                           static_cast<std::size_t>((pm << g.width) | cm)) *
-                              stride_ +
-                          p];
-      }
-      if (!have_masks) {
-        masks = classifier_.masks(prev, word);
-        have_masks = true;
-      }
-      const BusWord flop_toggle = word ^ line_[p];
-      for (int v = 0; v < 2; ++v) {  // rise, fall: the switching victims
-        const BusWord vm = masks.victim[v];
-        if (!vm.any()) continue;
-        for (int l = 0; l < 4; ++l) {
-          const BusWord vl = vm & masks.left[l];
-          if (!vl.any()) continue;
-          for (int r = 0; r < 4; ++r) {
-            const BusWord mask = vl & masks.right[r];
-            if (!mask.any()) continue;
-            const int cls = (v << 4) | (l << 2) | r;
-            const double arrival = cd[cls] + jitter;
-            const BusWord active = mask & flop_toggle;
-            if (!active.any()) continue;
-            switch (classify_arrival_for(timing_, arrival)) {
-              case detail::Verdict::held:
-                break;
-              case detail::Verdict::clean:
-                line_update |= active;
-                break;
-              case detail::Verdict::corrected:
-                error_mask |= active;
-                line_update |= active;
-                break;
-              case detail::Verdict::shadow_failed:
-                shadow_mask |= active;
-                line_update |= active;
-                break;
-            }
-          }
-        }
-      }
-    }
-
-    line_[p] = (line_[p] & ~line_update) | (word & line_update);
-    const bool error = error_mask.any();
-    errors_[p] += error ? 1u : 0u;
-    shadow_failures_[p] += shadow_mask.any() ? 1u : 0u;
-    bus_energy_[p] += dynamic_energy + leak_[p];
-    overhead_energy_[p] += error ? cycle_error_overhead_ : cycle_overhead_;
-  }
-
+  CyclePattern pattern(ctx_.classifier, classes_.data());
   // Rejoin the all-points fast path once every receiver line is back in
   // sync with the new prev (= word) — immediately after a transient
   // jitter cycle in which every active wire captured.
-  if (all_combo_ok_) {
-    bool sync = true;
-    for (std::size_t p = 0; p < n_points_; ++p) {
-      if (((line_[p] ^ word) & bits_mask).any()) {
-        sync = false;
-        break;
-      }
-    }
-    all_fast_ = sync;
+  bool sync = all_combo_ok_;
+  ++cycles_;
+  for (std::size_t p = 0; p < n_points_; ++p) {
+    const detail::PointTables tables = point_tables(p);
+    const CycleOutcome k =
+        table_path(ctx_, combo_ok_[p] != 0, prev_word_, line_[p], jitter)
+            ? table_kernel<false>(ctx_, tables, prev_word_, word)
+            : off_table_cycle(ctx_, tables, pattern, prev_word_, word, line_[p], jitter);
+    line_[p] = (line_[p] & ~k.line_update) | (word & k.line_update);
+    const bool error = k.error_mask.any();
+    errors_[p] += error ? 1u : 0u;
+    shadow_failures_[p] += k.shadow_mask.any() ? 1u : 0u;
+    bus_energy_[p] += k.dynamic_energy + leak_[p];
+    overhead_energy_[p] += error ? cycle_error_overhead_ : cycle_overhead_;
+    if (((line_[p] ^ word) & bits_mask).any()) sync = false;
   }
+  all_fast_ = sync;
 }
 
 RunningTotals MultiPointEngine::totals(std::size_t point) const {

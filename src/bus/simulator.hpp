@@ -73,15 +73,6 @@ EngineMode engine_mode_from_string(const std::string& name);
 
 namespace detail {
 
-// Capture verdict of a whole pattern class for one cycle (all wires of a
-// class share one arrival time). Mirrors DoubleSamplingFlop::clock.
-enum class Verdict : std::uint8_t {
-  held,          // arrival <= 0: latches keep their value, no line update
-  clean,         // captured by the main flop
-  corrected,     // main missed, shadow caught it: Error_L asserted
-  shadow_failed  // silent corruption (late arrival or short-path race)
-};
-
 // Shield-delimited wire groups. A group's wires interact with nothing
 // outside it (its edges border shields), so for tabulatable widths the
 // whole group's cycle contribution is precomputed over all (prev, cur)
@@ -90,8 +81,7 @@ enum class Verdict : std::uint8_t {
 // multi-lane) bus word; extraction/deposit straddle the 64-bit lane
 // boundary transparently. Energy accounting is group-wise in EVERY
 // engine/kernel (one sub-accumulator per group, groups summed in order)
-// so all paths agree bit for bit. Shared between the single-point
-// BusSimulator and the multi-point engine so both tabulate identically.
+// so all paths agree bit for bit.
 struct WireGroup {
   int start = 0;
   int width = 0;
@@ -109,6 +99,27 @@ struct GroupLayout {
 
   static GroupLayout build(const interconnect::BusDesign& design);
 };
+
+// What the single-point BusSimulator and the multi-point engine both
+// derive from the design alone, next to the design and table they read
+// (both must outlive the engine). Construction validates the design and
+// throws std::invalid_argument, naming `engine`, on unsized repeaters.
+struct BusContext {
+  BusContext(const interconnect::BusDesign& design, const lut::DelayEnergyTable& table,
+             const char* engine);
+
+  const interconnect::BusDesign& design;
+  const lut::DelayEnergyTable& table;
+  tech::LeakageModel leakage;
+  WireClassifier classifier;
+  razor::FlopTiming timing;
+  GroupLayout layout;
+};
+
+// One operating point's derived tables, seen through a strided view
+// (defined in simulator.cpp): the one builder writes them and the shared
+// cycle kernels read them, for either engine.
+struct PointTables;
 
 }  // namespace detail
 
@@ -173,7 +184,7 @@ class BusSimulator {
   // smooths the otherwise pattern-class-quantised error onset.
   void set_timing_jitter(double sigma_seconds, std::uint64_t seed = 0x7a5e11u);
 
-  const interconnect::BusDesign& design() const { return design_; }
+  const interconnect::BusDesign& design() const { return ctx_.design; }
   const tech::PvtCorner& environment() const { return environment_; }
 
   // Drive the next word; returns this cycle's outcome.
@@ -215,73 +226,43 @@ class BusSimulator {
                                      const std::vector<std::uint32_t>& words);
 
  private:
-  using Verdict = detail::Verdict;
-
-  struct CycleOutcome {
-    double dynamic_energy = 0.0;
-    double worst_delay = 0.0;
-    BusWord error_mask;
-    BusWord shadow_mask;
-    BusWord line_update;
-  };
-
+  // This simulator's derived tables as the shared builder and kernels see
+  // them (stride 1).
+  detail::PointTables point_tables();
   void refresh_operating_point();
-  Verdict classify_arrival(double arrival) const;
-
-  void rebuild_group_tables();
 
   CycleResult step_reference(const BusWord& word);
   CycleResult step_bit_parallel(const BusWord& word);
-  // Combo-table cycle kernel for jitter-free cycles (the common case).
-  CycleOutcome table_kernel(const BusWord& prev, const BusWord& word) const;
-  // Bit-parallel per-class kernel for jittered cycles: energy still comes
-  // from the combo tables; verdicts are re-derived per present class.
-  CycleOutcome jitter_kernel(const BusWord& prev, const BusWord& word,
-                             const BusWord& line, double jitter) const;
-  // Per-wire fallback for the cases the table kernels cannot serve: groups
-  // too wide to tabulate, or receiver state diverged from the bus
-  // (line != prev after a pathological arrival <= 0 hold).
-  CycleOutcome general_kernel(const BusWord& prev, const BusWord& word,
-                              const BusWord& line, double jitter);
   void run_bit_parallel(const BusWord* words, std::size_t n);
   void account_idle(CycleResult& out);
 
-  const interconnect::BusDesign& design_;
-  const lut::DelayEnergyTable& table_;
+  detail::BusContext ctx_;
   tech::PvtCorner environment_;
   razor::RecoveryCostModel recovery_;
-  tech::LeakageModel leakage_;
-  WireClassifier classifier_;
   razor::FlopBank bank_;
-  razor::FlopTiming timing_;
   EngineMode mode_ = EngineMode::bit_parallel;
 
   double supply_ = 0.0;
-  lut::TableSlice slice_{};
   double leakage_energy_per_cycle_ = 0.0;
-  double energy_scale_ = 1.0;  // rail-vs-effective voltage correction (IR drop)
   double cycle_overhead_ = 0.0;
   double error_overhead_ = 0.0;
   double jitter_sigma_ = 0.0;
   Rng jitter_rng_{0x7a5e11u};
 
   // Per-class operating-point precomputation (refreshed on supply change):
-  // energy already scaled to the rail voltage, the class arrival time at
-  // zero jitter, and the zero-jitter capture verdict. With jitter enabled
-  // the verdict is re-derived per cycle from arrival = delay + jitter with
-  // exactly the comparison chain of DoubleSamplingFlop::clock, so the
-  // engines stay bit-identical (the verdict flips where delay + jitter
-  // crosses a capture limit).
+  // energy already scaled to the rail voltage and the class arrival time
+  // at zero jitter. Capture verdicts are derived from arrival = delay +
+  // jitter with exactly the comparison chain of DoubleSamplingFlop::clock,
+  // so the engines stay bit-identical (the verdict flips where delay +
+  // jitter crosses a capture limit).
   double scaled_energy_[lut::PatternClass::kCount] = {};
   double class_delay_[lut::PatternClass::kCount] = {};
-  Verdict class_verdict_[lut::PatternClass::kCount] = {};
 
-  // Shield-group structure (see detail::GroupLayout). Combo tables are
-  // built per operating point when layout_.tabulatable.
-  detail::GroupLayout layout_;
-  // False when some tabulated verdict is "held" (arrival <= 0), which the
-  // toggle-update table path cannot express; zero-jitter cycles then go
-  // through the per-class kernel instead.
+  // Per-group combo tables (see detail::GroupLayout), built per operating
+  // point when the layout is tabulatable. The flag is false when some
+  // tabulated verdict is "held" (arrival <= 0), which the toggle-update
+  // table path cannot express; zero-jitter cycles then go through the
+  // per-class kernel instead.
   bool combo_zero_jitter_ok_ = true;
   std::vector<double> combo_energy_;
   std::vector<double> combo_worst_;
@@ -327,11 +308,12 @@ struct MultiPointConfig {
 // delay/energy/verdict evaluation is laid out structure-of-arrays — the
 // combo tables hold rows of N energies/error-bytes per (prev, cur)
 // combination — and the hot zero-jitter path reduces those rows with the
-// util/simd.hpp kernels. Per-point totals are bit-identical to running
-// BusSimulator (bit_parallel) once per point over the same trace: the
-// per-cycle IEEE operation sequence of every point is preserved exactly
-// (group-order energy sub-sums, one `+= dynamic + leakage` per cycle,
-// the scalar engine's own per-point kernel selection).
+// util/simd.hpp row loops. Per-point totals are bit-identical to running
+// BusSimulator (bit_parallel) once per point over the same trace: both
+// engines fill their tables with one operating-point builder, and off the
+// all-points fast path every point runs through the scalar engine's own
+// kernel selection and kernels (group-order energy sub-sums, one
+// `+= dynamic + leakage` per cycle).
 class MultiPointEngine {
  public:
   // `design` and `table` must outlive the engine. Throws on an empty
@@ -357,19 +339,15 @@ class MultiPointEngine {
   void reset(const BusWord& initial_word = BusWord());
 
  private:
-  void build_point(std::size_t p, const OperatingPoint& point);
+  // Point p's slot in the structure-of-arrays tables (stride stride_).
+  detail::PointTables point_tables(std::size_t p);
   void fast_cycle(const BusWord& word);
   void mixed_cycle(const BusWord& word, double jitter);
 
-  const interconnect::BusDesign& design_;
-  const lut::DelayEnergyTable& table_;
-  tech::LeakageModel leakage_;
-  WireClassifier classifier_;
-  razor::FlopTiming timing_;
-  detail::GroupLayout layout_;
+  detail::BusContext ctx_;
 
   std::size_t n_points_ = 0;
-  std::size_t stride_ = 0;  // n_points_ padded to the SIMD row granule
+  std::size_t stride_ = 0;  // n_points_ padded to the row granule
   double cycle_overhead_ = 0.0;
   double cycle_error_overhead_ = 0.0;  // cycle + error overhead, pre-added
   double jitter_sigma_ = 0.0;
@@ -379,14 +357,13 @@ class MultiPointEngine {
   // point index: combo_* arrays hold one stride_-wide row per (group
   // table offset, prev, cur) combination so the fast path reduces whole
   // rows; the per-class arrays are point-major ([p * kCount + cls]) since
-  // the scalar fallback kernels walk one point at a time.
+  // the shared scalar kernels walk one point at a time.
   std::vector<double> leak_;                   // [stride_]
   std::vector<double> combo_energy_;           // [combo][stride_]
   std::vector<std::uint8_t> combo_error_;      // [combo][stride_]
   std::vector<std::uint8_t> combo_shadow_;     // [combo][stride_]
   std::vector<double> scaled_energy_;          // [point][kCount]
   std::vector<double> class_delay_;            // [point][kCount]
-  std::vector<detail::Verdict> class_verdict_; // [point][kCount]
   std::vector<std::uint8_t> combo_ok_;         // per point: zero-jitter ok
   bool all_combo_ok_ = false;
 

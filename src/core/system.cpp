@@ -9,13 +9,8 @@ DvsBusSystem::DvsBusSystem(interconnect::BusDesign design, const SystemOptions& 
     : design_(std::move(design)), driver_(design_.node) {
   design_.validate();
   if (design_.repeater_size <= 0.0)
-    interconnect::size_repeaters(design_, driver_, options.sizing_corner);
-
-  if (options.use_cache)
-    table_ = lut::build_or_load(design_, driver_, options.lut_config, options.progress);
-  else
-    table_ = lut::DelayEnergyTable::build(design_, driver_, options.lut_config,
-                                          options.progress);
+    interconnect::size_repeaters(design_, driver_, tech::worst_case_corner());
+  table_ = lut::build_or_load(design_, driver_, options.lut_config, options.progress);
 }
 
 bus::BusSimulator DvsBusSystem::make_simulator(const tech::PvtCorner& environment) const {

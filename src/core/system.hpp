@@ -31,19 +31,16 @@ namespace razorbus::core {
 
 struct SystemOptions {
   lut::LutConfig lut_config{};
-  // Corner the repeaters are sized at (the paper's worst case).
-  tech::PvtCorner sizing_corner = tech::worst_case_corner();
-  // Use the on-disk characterization cache (recommended).
-  bool use_cache = true;
   // Progress callback for characterization (done, total).
   std::function<void(int, int)> progress{};
 };
 
 class DvsBusSystem {
  public:
-  // Sizes the repeaters of `design` (if not already sized) and builds or
-  // loads the delay/energy tables. This is the expensive constructor — a
-  // cache miss costs thousands of transient circuit simulations.
+  // Sizes the repeaters of `design` (if not already sized) at the paper's
+  // worst-case corner and builds or loads the delay/energy tables through
+  // the on-disk cache. This is the expensive constructor — a cache miss
+  // costs thousands of transient circuit simulations.
   explicit DvsBusSystem(interconnect::BusDesign design,
                         const SystemOptions& options = {});
 

@@ -19,7 +19,9 @@ namespace razorbus::lut {
 
 namespace {
 
-constexpr char kMagic[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '2'};
+// RBLUT002 files carried no digest; RBLUT003 was the deleted adaptive
+// format. Either is a cache miss now.
+constexpr char kMagic[8] = {'R', 'B', 'L', 'U', 'T', '0', '0', '4'};
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 // A loaded header naming more grid voltages than this is corrupt (the
 // paper grid has 28; this allows a 1 mV step over 4 V).
@@ -281,29 +283,34 @@ double DelayEnergyTable::energy_at(int cls, std::size_t ci, std::size_t ti,
 void DelayEnergyTable::save(std::ostream& os, std::uint64_t key_hash) const {
   os.write(kMagic, sizeof(kMagic));
   os.write(reinterpret_cast<const char*>(&key_hash), sizeof(key_hash));
+  // Everything after the key hash is payload, sealed by a trailing FNV-1a
+  // digest of its bytes.
+  Fnv1a digest;
+  const auto put = [&os, &digest](const void* data, std::size_t len) {
+    os.write(static_cast<const char*>(data), static_cast<std::streamsize>(len));
+    digest.mix(data, len);
+  };
   const double vmin = grid_.vmin();
   const double vmax = grid_.vmax();
   const double step = grid_.step();
-  os.write(reinterpret_cast<const char*>(&vmin), sizeof(vmin));
-  os.write(reinterpret_cast<const char*>(&vmax), sizeof(vmax));
-  os.write(reinterpret_cast<const char*>(&step), sizeof(step));
+  put(&vmin, sizeof(vmin));
+  put(&vmax, sizeof(vmax));
+  put(&step, sizeof(step));
 
   const std::uint64_t n_temps = temps_.size();
   const std::uint64_t n_corners = corners_.size();
-  os.write(reinterpret_cast<const char*>(&n_temps), sizeof(n_temps));
-  os.write(reinterpret_cast<const char*>(&n_corners), sizeof(n_corners));
-  os.write(reinterpret_cast<const char*>(temps_.data()),
-           static_cast<std::streamsize>(temps_.size() * sizeof(double)));
+  put(&n_temps, sizeof(n_temps));
+  put(&n_corners, sizeof(n_corners));
+  put(temps_.data(), temps_.size() * sizeof(double));
   for (auto c : corners_) {
     const std::int32_t v = static_cast<std::int32_t>(c);
-    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    put(&v, sizeof(v));
   }
   const std::uint64_t n_values = delays_.size();
-  os.write(reinterpret_cast<const char*>(&n_values), sizeof(n_values));
-  os.write(reinterpret_cast<const char*>(delays_.data()),
-           static_cast<std::streamsize>(delays_.size() * sizeof(double)));
-  os.write(reinterpret_cast<const char*>(energies_.data()),
-           static_cast<std::streamsize>(energies_.size() * sizeof(double)));
+  put(&n_values, sizeof(n_values));
+  put(delays_.data(), delays_.size() * sizeof(double));
+  put(energies_.data(), energies_.size() * sizeof(double));
+  os.write(reinterpret_cast<const char*>(&digest.h), sizeof(digest.h));
 }
 
 std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
@@ -314,14 +321,19 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
   std::uint64_t hash = 0;
   if (!is.read(reinterpret_cast<char*>(&hash), sizeof(hash)) || hash != expected_hash)
     return std::nullopt;
+  Fnv1a digest;
+  const auto get = [&is, &digest](void* data, std::size_t len) {
+    is.read(static_cast<char*>(data), static_cast<std::streamsize>(len));
+    digest.mix(data, len);
+  };
 
   double vmin = 0, vmax = 0, step = 0;
-  is.read(reinterpret_cast<char*>(&vmin), sizeof(vmin));
-  is.read(reinterpret_cast<char*>(&vmax), sizeof(vmax));
-  is.read(reinterpret_cast<char*>(&step), sizeof(step));
+  get(&vmin, sizeof(vmin));
+  get(&vmax, sizeof(vmax));
+  get(&step, sizeof(step));
   std::uint64_t n_temps = 0, n_corners = 0;
-  is.read(reinterpret_cast<char*>(&n_temps), sizeof(n_temps));
-  is.read(reinterpret_cast<char*>(&n_corners), sizeof(n_corners));
+  get(&n_temps, sizeof(n_temps));
+  get(&n_corners, sizeof(n_corners));
   if (!is || n_temps == 0 || n_temps > 16 || n_corners == 0 || n_corners > 8)
     return std::nullopt;
   // A corrupt grid header is a cache miss like any other corruption, never
@@ -333,16 +345,15 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
   DelayEnergyTable table;
   table.grid_ = tech::SupplyGrid(vmin, vmax, step);
   table.temps_.resize(n_temps);
-  is.read(reinterpret_cast<char*>(table.temps_.data()),
-          static_cast<std::streamsize>(n_temps * sizeof(double)));
+  get(table.temps_.data(), n_temps * sizeof(double));
   table.corners_.resize(n_corners);
   for (auto& c : table.corners_) {
     std::int32_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
+    get(&v, sizeof(v));
     c = static_cast<tech::ProcessCorner>(v);
   }
   std::uint64_t n_values = 0;
-  is.read(reinterpret_cast<char*>(&n_values), sizeof(n_values));
+  get(&n_values, sizeof(n_values));
   const std::uint64_t expected_values = n_corners * n_temps * table.grid_.size() *
                                         static_cast<std::uint64_t>(PatternClass::kCount);
   // The largest header the checks above admit claims ~0.5 GB of values:
@@ -352,11 +363,12 @@ std::optional<DelayEnergyTable> DelayEnergyTable::load(std::istream& is,
     return std::nullopt;
   table.delays_.resize(n_values);
   table.energies_.resize(n_values);
-  is.read(reinterpret_cast<char*>(table.delays_.data()),
-          static_cast<std::streamsize>(n_values * sizeof(double)));
-  is.read(reinterpret_cast<char*>(table.energies_.data()),
-          static_cast<std::streamsize>(n_values * sizeof(double)));
-  if (!is) return std::nullopt;
+  get(table.delays_.data(), n_values * sizeof(double));
+  get(table.energies_.data(), n_values * sizeof(double));
+  // A flipped payload bit would otherwise load as a plausible table.
+  std::uint64_t stored = 0;
+  if (!is.read(reinterpret_cast<char*>(&stored), sizeof(stored)) || stored != digest.h)
+    return std::nullopt;
   return table;
 }
 

@@ -125,9 +125,11 @@ class DelayEnergyTable {
                                                 tech::ProcessCorner corner,
                                                 double temp_c) const;
 
-  // --- Serialization (versioned binary format with config hash) ---
+  // --- Serialization (versioned binary format with config hash and an
+  // FNV-1a digest of the payload) ---
   void save(std::ostream& os, std::uint64_t key_hash) const;
-  // Empty when the stream is not a valid table or the hash mismatches.
+  // Empty when the stream is not a valid table, the hash mismatches or the
+  // payload does not match its digest.
   static std::optional<DelayEnergyTable> load(std::istream& is,
                                               std::uint64_t expected_hash);
 

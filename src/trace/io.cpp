@@ -43,133 +43,101 @@ void write_chunked(std::ostream& os, const std::vector<BusWord>& words, Emit emi
   if (!chunk.empty()) flush();
 }
 
-std::optional<Trace> load_v1_body(std::istream& is) {
+// The one RBTRACE1/RBTRACE2 parser, behind both load_binary and
+// open_trace_stream: the header (width, name, word count — the count is
+// bounds-checked against the bytes left in the stream before any payload
+// is read or allocated), then the payload a block at a time.
+struct TraceHeader {
+  bool v1 = false;
+  int n_bits = 32;
+  std::string name;
+  std::uint64_t words = 0;
+
+  std::size_t word_bytes() const {
+    return v1 ? sizeof(std::uint32_t)
+              : static_cast<std::size_t>(lanes_per_word(n_bits)) * sizeof(std::uint64_t);
+  }
+};
+
+std::optional<TraceHeader> read_header(std::istream& is) {
+  char magic[sizeof(kMagicV1)];
+  if (!is.read(magic, sizeof(magic))) return std::nullopt;
+  TraceHeader h;
+  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
+    h.v1 = true;
+  } else if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
+    std::uint32_t n_bits = 0;
+    if (!is.read(reinterpret_cast<char*>(&n_bits), sizeof(n_bits)) || n_bits == 0 ||
+        n_bits > static_cast<std::uint32_t>(BusWord::kMaxBits))
+      return std::nullopt;
+    h.n_bits = static_cast<int>(n_bits);
+  } else {
+    return std::nullopt;
+  }
   std::uint64_t name_len = 0;
   if (!is.read(reinterpret_cast<char*>(&name_len), sizeof(name_len)) || name_len > 4096)
     return std::nullopt;
-  Trace trace;
-  trace.name.resize(name_len);
-  if (!is.read(trace.name.data(), static_cast<std::streamsize>(name_len)))
+  h.name.resize(name_len);
+  if (!is.read(h.name.data(), static_cast<std::streamsize>(name_len)))
     return std::nullopt;
-  std::uint64_t n = 0;
-  if (!is.read(reinterpret_cast<char*>(&n), sizeof(n)) || n > (1ull << 33))
+  if (!is.read(reinterpret_cast<char*>(&h.words), sizeof(h.words)) ||
+      h.words > (1ull << 33) || !util::claim_fits_stream(is, h.words, h.word_bytes()))
     return std::nullopt;
-  if (!util::claim_fits_stream(is, n, sizeof(std::uint32_t))) return std::nullopt;
-  std::vector<std::uint32_t> raw(n);
-  if (!is.read(reinterpret_cast<char*>(raw.data()),
-               static_cast<std::streamsize>(n * sizeof(std::uint32_t))))
-    return std::nullopt;
-  trace.n_bits = 32;
-  trace.words.assign(raw.begin(), raw.end());
-  return trace;
+  return h;
 }
 
-std::optional<Trace> load_v2_body(std::istream& is) {
-  std::uint32_t n_bits = 0;
-  if (!is.read(reinterpret_cast<char*>(&n_bits), sizeof(n_bits)) || n_bits == 0 ||
-      n_bits > static_cast<std::uint32_t>(BusWord::kMaxBits))
-    return std::nullopt;
-  std::uint64_t name_len = 0;
-  if (!is.read(reinterpret_cast<char*>(&name_len), sizeof(name_len)) || name_len > 4096)
-    return std::nullopt;
-  Trace trace;
-  trace.n_bits = static_cast<int>(n_bits);
-  trace.name.resize(name_len);
-  if (!is.read(trace.name.data(), static_cast<std::streamsize>(name_len)))
-    return std::nullopt;
-  std::uint64_t n = 0;
-  if (!is.read(reinterpret_cast<char*>(&n), sizeof(n)) || n > (1ull << 33))
-    return std::nullopt;
-  const auto lanes = static_cast<std::size_t>(lanes_per_word(trace.n_bits));
-  if (!util::claim_fits_stream(is, n, lanes * sizeof(std::uint64_t))) return std::nullopt;
-  trace.words.reserve(n);
-  // Bulk-read the lane stream in chunks, then assemble words.
-  constexpr std::size_t kChunkWords = 1 << 16;
-  std::vector<std::uint64_t> chunk;
-  std::uint64_t remaining = n;
-  while (remaining > 0) {
-    const std::size_t batch =
-        static_cast<std::size_t>(std::min<std::uint64_t>(remaining, kChunkWords));
-    chunk.resize(batch * lanes);
-    if (!is.read(reinterpret_cast<char*>(chunk.data()),
-                 static_cast<std::streamsize>(chunk.size() * sizeof(std::uint64_t))))
-      return std::nullopt;
-    for (std::size_t w = 0; w < batch; ++w)
-      trace.words.push_back(BusWord::from_lanes(chunk[w * lanes],
-                                                lanes > 1 ? chunk[w * lanes + 1] : 0));
-    remaining -= batch;
+// Reads the next `n` payload words into dst (`raw` is scratch); false on a
+// short read.
+bool read_words(std::istream& is, const TraceHeader& h, BusWord* dst, std::size_t n,
+                std::vector<char>& raw) {
+  const std::size_t bytes = h.word_bytes();
+  raw.resize(n * bytes);
+  if (!is.read(raw.data(), static_cast<std::streamsize>(raw.size()))) return false;
+  const char* p = raw.data();
+  for (std::size_t w = 0; w < n; ++w, p += bytes) {
+    if (h.v1) {
+      std::uint32_t word = 0;
+      std::memcpy(&word, p, sizeof(word));
+      dst[w] = BusWord(word);
+    } else {
+      std::uint64_t lo = 0;
+      std::uint64_t hi = 0;
+      std::memcpy(&lo, p, sizeof(lo));
+      if (bytes > sizeof(lo)) std::memcpy(&hi, p + sizeof(lo), sizeof(hi));
+      dst[w] = BusWord::from_lanes(lo, hi);
+    }
   }
-  return trace;
+  return true;
 }
 
 // Incremental reader behind open_trace_stream: the header is parsed once
-// at construction (with the same claimed-count-vs-file-size defence as
-// load_binary), after which each next_block reads and assembles at most
+// at construction, after which each next_block reads and assembles at most
 // `max` words' worth of payload.
 class FileTraceSource final : public TraceSource {
  public:
   explicit FileTraceSource(std::string path) : path_(std::move(path)) {
     is_.open(path_, std::ios::binary);
     if (!is_) throw std::runtime_error("open_trace_stream: cannot open " + path_);
-
-    char magic[sizeof(kMagicV1)];
-    if (!is_.read(magic, sizeof(magic)))
+    std::optional<TraceHeader> header = read_header(is_);
+    if (!header)
       throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    std::uint32_t n_bits = 32;
-    if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-      v1_ = true;
-    } else if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-      if (!is_.read(reinterpret_cast<char*>(&n_bits), sizeof(n_bits)) || n_bits == 0 ||
-          n_bits > static_cast<std::uint32_t>(BusWord::kMaxBits))
-        throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    } else {
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    }
-    n_bits_ = static_cast<int>(n_bits);
-    lanes_ = static_cast<std::size_t>(lanes_per_word(n_bits_));
-
-    std::uint64_t name_len = 0;
-    if (!is_.read(reinterpret_cast<char*>(&name_len), sizeof(name_len)) ||
-        name_len > 4096)
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    name_.resize(name_len);
-    if (!is_.read(name_.data(), static_cast<std::streamsize>(name_len)))
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    if (!is_.read(reinterpret_cast<char*>(&remaining_), sizeof(remaining_)) ||
-        remaining_ > (1ull << 33) ||
-        !util::claim_fits_stream(is_, remaining_,
-                           v1_ ? sizeof(std::uint32_t)
-                               : lanes_ * sizeof(std::uint64_t)))
-      throw std::runtime_error("open_trace_stream: not a trace file: " + path_);
-    total_ = remaining_;
+    header_ = *std::move(header);
+    remaining_ = header_.words;
   }
 
   std::size_t next_block(BusWord* dst, std::size_t max) override {
     const std::size_t n =
         static_cast<std::size_t>(std::min<std::uint64_t>(max, remaining_));
     if (n == 0) return 0;
-    if (v1_) {
-      raw32_.resize(n);
-      if (!is_.read(reinterpret_cast<char*>(raw32_.data()),
-                    static_cast<std::streamsize>(n * sizeof(std::uint32_t))))
-        throw std::runtime_error("open_trace_stream: truncated trace file: " + path_);
-      for (std::size_t w = 0; w < n; ++w) dst[w] = BusWord(raw32_[w]);
-    } else {
-      raw64_.resize(n * lanes_);
-      if (!is_.read(reinterpret_cast<char*>(raw64_.data()),
-                    static_cast<std::streamsize>(raw64_.size() * sizeof(std::uint64_t))))
-        throw std::runtime_error("open_trace_stream: truncated trace file: " + path_);
-      for (std::size_t w = 0; w < n; ++w)
-        dst[w] = BusWord::from_lanes(raw64_[w * lanes_],
-                                     lanes_ > 1 ? raw64_[w * lanes_ + 1] : 0);
-    }
+    if (!read_words(is_, header_, dst, n, raw_))
+      throw std::runtime_error("open_trace_stream: truncated trace file: " + path_);
     remaining_ -= n;
     return n;
   }
 
-  int n_bits() const override { return n_bits_; }
-  const std::string& name() const override { return name_; }
-  std::optional<std::uint64_t> length() const override { return total_; }
+  int n_bits() const override { return header_.n_bits; }
+  const std::string& name() const override { return header_.name; }
+  std::optional<std::uint64_t> length() const override { return header_.words; }
   std::unique_ptr<TraceSource> clone() const override {
     return std::make_unique<FileTraceSource>(path_);
   }
@@ -177,14 +145,9 @@ class FileTraceSource final : public TraceSource {
  private:
   std::string path_;
   std::ifstream is_;
-  bool v1_ = false;
-  int n_bits_ = 32;
-  std::size_t lanes_ = 1;
-  std::string name_;
+  TraceHeader header_;
   std::uint64_t remaining_ = 0;
-  std::uint64_t total_ = 0;
-  std::vector<std::uint32_t> raw32_;
-  std::vector<std::uint64_t> raw64_;
+  std::vector<char> raw_;
 };
 
 }  // namespace
@@ -221,11 +184,25 @@ void save_binary(const Trace& trace, std::ostream& os) {
 }
 
 std::optional<Trace> load_binary(std::istream& is) {
-  char magic[sizeof(kMagicV1)];
-  if (!is.read(magic, sizeof(magic))) return std::nullopt;
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) return load_v1_body(is);
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) return load_v2_body(is);
-  return std::nullopt;
+  const std::optional<TraceHeader> header = read_header(is);
+  if (!header) return std::nullopt;
+  Trace trace;
+  trace.name = header->name;
+  trace.n_bits = header->n_bits;
+  // Bulk-read the payload in chunks, growing the words as they arrive: on an
+  // unseekable stream the claimed count is unchecked, and reserving it up
+  // front would throw std::bad_alloc for a corrupt one.
+  constexpr std::uint64_t kChunkWords = 1 << 16;
+  std::vector<char> raw;
+  for (std::uint64_t done = 0; done < header->words;) {
+    const auto batch =
+        static_cast<std::size_t>(std::min(header->words - done, kChunkWords));
+    trace.words.resize(trace.words.size() + batch);
+    if (!read_words(is, *header, trace.words.data() + done, batch, raw))
+      return std::nullopt;
+    done += batch;
+  }
+  return trace;
 }
 
 void save_trace_file(const Trace& trace, const std::string& path) {

@@ -26,9 +26,9 @@ void save_trace_file(const Trace& trace, const std::string& path);
 Trace load_trace_file(const std::string& path);
 
 // Streaming reader over a saved trace file (DESIGN.md §12): parses the
-// RBTRACE1/RBTRACE2 header up front (width, name, word count — the count
-// is bounds-checked against the file size before any read, like
-// load_binary) and then serves the words block by block, so a multi-GB
+// RBTRACE1/RBTRACE2 header up front with load_binary's parser (width,
+// name, word count — the count is bounds-checked against the file size
+// before any read) and then serves the words block by block, so a multi-GB
 // archive never has to fit in RAM. The word sequence is identical to
 // load_trace_file's; `length()` reports the header's word count; `clone()`
 // reopens the file. Throws std::runtime_error on open/parse failure and on

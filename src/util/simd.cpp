@@ -1,181 +1,41 @@
 #include "util/simd.hpp"
 
-// Backend selection (see simd.hpp). The vector bodies live behind
-// function-level target attributes so the translation unit compiles with
-// the project's generic flags; the dispatcher picks a table of function
-// pointers once, at first use.
-
-#if !defined(RAZORBUS_SIMD_DISABLED)
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define RAZORBUS_SIMD_X86 1
-#include <immintrin.h>
-#elif defined(__aarch64__)
-#define RAZORBUS_SIMD_NEON 1
-#include <arm_neon.h>
+// target_clones needs ifunc support: GCC or Clang on x86-64 ELF. ifunc
+// resolvers run before ThreadSanitizer's runtime starts, which crashes a
+// TSan build at load (g++ 12), so TSan builds keep the plain loops.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define RAZORBUS_TSAN 1
 #endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define RAZORBUS_TSAN 1
+#endif
+
+#if defined(__x86_64__) && defined(__ELF__) && \
+    (defined(__GNUC__) || defined(__clang__)) && !defined(RAZORBUS_TSAN)
+#define RAZORBUS_ROW_LOOP __attribute__((target_clones("avx2", "default")))
+#else
+#define RAZORBUS_ROW_LOOP
 #endif
 
 namespace razorbus::simd {
 
-namespace {
-
-// ------------------------------------------------------------- scalar
-
-void scalar_add_rows(double* acc, const double* x, std::size_t n) {
+RAZORBUS_ROW_LOOP void add_rows(double* acc, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
 
-void scalar_add2_rows(double* acc, const double* x, const double* y, std::size_t n) {
+RAZORBUS_ROW_LOOP void add2_rows(double* acc, const double* x, const double* y,
+                                 std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += x[i] + y[i];
 }
 
-void scalar_add_const(double* acc, double c, std::size_t n) {
+RAZORBUS_ROW_LOOP void add_const(double* acc, double c, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += c;
 }
 
-void scalar_or_bytes(std::uint8_t* acc, const std::uint8_t* x, std::size_t n) {
+RAZORBUS_ROW_LOOP void or_bytes(std::uint8_t* acc, const std::uint8_t* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] |= x[i];
-}
-
-// --------------------------------------------------------------- AVX2
-
-#if defined(RAZORBUS_SIMD_X86)
-
-__attribute__((target("avx2"))) void avx2_add_rows(double* acc, const double* x,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    const __m256d b = _mm256_loadu_pd(x + i);
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(a, b));
-  }
-  for (; i < n; ++i) acc[i] += x[i];
-}
-
-__attribute__((target("avx2"))) void avx2_add2_rows(double* acc, const double* x,
-                                                    const double* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i));
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(a, sum));
-  }
-  for (; i < n; ++i) acc[i] += x[i] + y[i];
-}
-
-__attribute__((target("avx2"))) void avx2_add_const(double* acc, double c,
-                                                    std::size_t n) {
-  const __m256d cv = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), cv));
-  for (; i < n; ++i) acc[i] += c;
-}
-
-__attribute__((target("avx2"))) void avx2_or_bytes(std::uint8_t* acc,
-                                                   const std::uint8_t* x,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), _mm256_or_si256(a, b));
-  }
-  for (; i < n; ++i) acc[i] |= x[i];
-}
-
-#endif  // RAZORBUS_SIMD_X86
-
-// --------------------------------------------------------------- NEON
-
-#if defined(RAZORBUS_SIMD_NEON)
-
-void neon_add_rows(double* acc, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), vld1q_f64(x + i)));
-  for (; i < n; ++i) acc[i] += x[i];
-}
-
-void neon_add2_rows(double* acc, const double* x, const double* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t sum = vaddq_f64(vld1q_f64(x + i), vld1q_f64(y + i));
-    vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), sum));
-  }
-  for (; i < n; ++i) acc[i] += x[i] + y[i];
-}
-
-void neon_add_const(double* acc, double c, std::size_t n) {
-  const float64x2_t cv = vdupq_n_f64(c);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), cv));
-  for (; i < n; ++i) acc[i] += c;
-}
-
-void neon_or_bytes(std::uint8_t* acc, const std::uint8_t* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16)
-    vst1q_u8(acc + i, vorrq_u8(vld1q_u8(acc + i), vld1q_u8(x + i)));
-  for (; i < n; ++i) acc[i] |= x[i];
-}
-
-#endif  // RAZORBUS_SIMD_NEON
-
-// ----------------------------------------------------------- dispatch
-
-struct Backend {
-  const char* name;
-  std::size_t double_lanes;
-  void (*add_rows)(double*, const double*, std::size_t);
-  void (*add2_rows)(double*, const double*, const double*, std::size_t);
-  void (*add_const)(double*, double, std::size_t);
-  void (*or_bytes)(std::uint8_t*, const std::uint8_t*, std::size_t);
-};
-
-constexpr Backend kScalar = {"scalar", 1,          scalar_add_rows,
-                             scalar_add2_rows,     scalar_add_const,
-                             scalar_or_bytes};
-
-Backend select_backend() {
-#if defined(RAZORBUS_SIMD_X86)
-  if (__builtin_cpu_supports("avx2"))
-    return Backend{"avx2", 4, avx2_add_rows, avx2_add2_rows, avx2_add_const,
-                   avx2_or_bytes};
-#elif defined(RAZORBUS_SIMD_NEON)
-  return Backend{"neon", 2, neon_add_rows, neon_add2_rows, neon_add_const,
-                 neon_or_bytes};
-#endif
-  return kScalar;
-}
-
-const Backend& backend() {
-  static const Backend selected = select_backend();
-  return selected;
-}
-
-}  // namespace
-
-std::size_t double_lanes() { return backend().double_lanes; }
-
-const char* backend_name() { return backend().name; }
-
-bool enabled() { return backend().double_lanes > 1; }
-
-void add_rows(double* acc, const double* x, std::size_t n) {
-  backend().add_rows(acc, x, n);
-}
-
-void add2_rows(double* acc, const double* x, const double* y, std::size_t n) {
-  backend().add2_rows(acc, x, y, n);
-}
-
-void add_const(double* acc, double c, std::size_t n) {
-  backend().add_const(acc, c, n);
-}
-
-void or_bytes(std::uint8_t* acc, const std::uint8_t* x, std::size_t n) {
-  backend().or_bytes(acc, x, n);
 }
 
 }  // namespace razorbus::simd

@@ -1,44 +1,25 @@
-// Portable SIMD primitives for the multi-operating-point engine.
+// Row loops of the multi-operating-point engine.
 //
 // The multi-point hot loop (bus::MultiPointEngine, DESIGN.md §13) keeps its
 // per-point accumulators and combo-table rows structure-of-arrays; the only
 // vector shapes it needs are elementwise double adds and byte ORs over
-// short contiguous rows (one slot per operating point). This header is that
-// shape: four row kernels with a scalar reference implementation, a
-// compile-time gate and a runtime ISA dispatch.
+// short contiguous rows (one slot per operating point). These four plain
+// loops are that shape, and the compiler vectorizes them: on x86-64 ELF
+// with GCC or Clang each is cloned for AVX2 plus a baseline version and the
+// loader picks one per CPU; elsewhere (aarch64 NEON at -O3, say) and in
+// ThreadSanitizer builds the ordinary auto-vectorizer does the work.
 //
-//   * Compile-time gate: configure with -DRAZORBUS_SIMD=OFF (the CMake
-//     option defines RAZORBUS_SIMD_DISABLED) and every kernel is the plain
-//     scalar loop — the build has no intrinsics at all. CI keeps this leg
-//     green so results never depend on the host ISA.
-//   * Runtime dispatch: with the gate on, the backend is chosen once per
-//     process — AVX2 on x86-64 when the CPU reports it (the AVX2 bodies are
-//     compiled with a function-level target attribute, so the baseline
-//     build stays generic), NEON on aarch64 (architecturally guaranteed),
-//     scalar otherwise.
-//
-// Bit-identity contract: every backend performs the SAME IEEE-754 double
-// operations per element as the scalar loop (elementwise add only — no FMA,
-// no reassociation, no horizontal reductions), so switching backends never
-// changes a result bit. This is what lets the multi-point parity suite
-// demand exact equality against the per-point scalar engine on any host.
+// Bit-identity: every element sees the same IEEE-754 double operations in
+// any vector width (elementwise add only — no FMA, no reassociation, no
+// horizontal reductions), so the instruction set never changes a result
+// bit. This is what lets the multi-point parity suite demand exact
+// equality against the per-point scalar engine on any host.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace razorbus::simd {
-
-// Lanes per double vector of the active backend (1 for scalar). Rows padded
-// to a multiple of this never enter the kernels' scalar tails; padding is
-// a throughput knob only, never a correctness requirement.
-std::size_t double_lanes();
-
-// Name of the active backend: "avx2", "neon" or "scalar".
-const char* backend_name();
-
-// True when a vector backend is active (compile gate on AND ISA present).
-bool enabled();
 
 // acc[i] += x[i]
 void add_rows(double* acc, const double* x, std::size_t n);

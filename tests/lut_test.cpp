@@ -316,7 +316,8 @@ long peak_rss_kib() {
 // and splices of two serialized tables, plus a header that claims the
 // largest grid the header checks admit. Every case must load a table or
 // return nullopt: no throw, no crash (the ASan/UBSan leg runs this too) and
-// no allocation beyond the bytes the stream holds.
+// no allocation beyond the bytes the stream holds. Every single-bit flip,
+// payload included, must be rejected (the payload digest).
 TEST_F(TableTest, LoadSurvivesMutatedBytes) {
   constexpr std::uint64_t kHash = 7;
   const auto serialize = [&](const DelayEnergyTable& table) {
@@ -341,6 +342,7 @@ TEST_F(TableTest, LoadSurvivesMutatedBytes) {
     (table ? loaded : rejected) += 1;
     return table.has_value();
   };
+  EXPECT_TRUE(load(a));
 
   // The largest header the checks admit: 8 corners x 16 temps x 4,095
   // voltages x 64 classes, with a matching value count but no values.
@@ -376,8 +378,12 @@ TEST_F(TableTest, LoadSurvivesMutatedBytes) {
     bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
     return bytes;
   };
-  for (std::size_t bit = 0; bit < kHeaderBytes * 8; ++bit) load(flipped(bit));
-  for (int i = 0; i < 500; ++i) load(flipped(rng.next_below(a.size() * 8)));
+  for (std::size_t bit = 0; bit < kHeaderBytes * 8; ++bit)
+    EXPECT_FALSE(load(flipped(bit))) << "bit " << bit;
+  for (int i = 0; i < 500; ++i) {
+    const std::size_t bit = rng.next_below(a.size() * 8);
+    EXPECT_FALSE(load(flipped(bit))) << "bit " << bit;
+  }
   // Splices: a prefix of one table followed by the tail of the other.
   for (int i = 0; i < 300; ++i) {
     const bool a_first = rng.bernoulli(0.5);
@@ -386,7 +392,7 @@ TEST_F(TableTest, LoadSurvivesMutatedBytes) {
     load(head.substr(0, rng.next_below(head.size() + 1)) +
          tail.substr(rng.next_below(tail.size() + 1)));
   }
-  EXPECT_GT(loaded, 0);  // payload flips load (no digest yet: ROADMAP)
+  EXPECT_GT(loaded, 0);  // the pristine copy
   EXPECT_GT(rejected, 0);
 }
 

@@ -4,11 +4,15 @@
 // engine once per point — across widths, with and without jitter, on
 // materialized and streamed traces, for SoA rows of any occupancy
 // (including the degenerate 1-point batch) and for untabulatable layouts
-// (general-kernel path). These hold with ANY util/simd.hpp backend, which
-// is why CI runs this suite with RAZORBUS_SIMD=OFF too.
+// (general-kernel path). The util/simd.hpp row loops do elementwise adds
+// and ORs only, so these hold whichever instruction set the compiler or
+// the loader picks for them.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +20,8 @@
 #include "bus/simulator.hpp"
 #include "core/experiments.hpp"
 #include "core/system.hpp"
+#include "lut/pattern.hpp"
+#include "lut/table.hpp"
 #include "test_support.hpp"
 #include "trace/source.hpp"
 #include "trace/synthetic.hpp"
@@ -104,12 +110,17 @@ void expect_batch_matches_scalar(const interconnect::BusDesign& design,
   }
 }
 
+// The largest sigma (kWildJitter) spreads arrivals far enough to reach every
+// verdict: held wires (arrival <= 0) that leave receivers out of sync,
+// short-path races and captures past the shadow limit.
+constexpr double kWildJitter = 3e-10;
+
 TEST(MultiPoint, MatchesScalarAcrossWidthsAndJitter) {
   for (const int width : {16, 32, 64, 128}) {
     const auto& system = system_at(width);
     const trace::Trace trace =
         trace::generate_synthetic(trace_config(width, 1500, 0x5eedu + width), "mp");
-    for (const double sigma : {0.0, 5e-12}) {
+    for (const double sigma : {0.0, 5e-12, kWildJitter}) {
       expect_batch_matches_scalar(
           system.design(), system.table(), point_grid(), sigma, {trace.words},
           "width " + std::to_string(width) + " sigma " + std::to_string(sigma));
@@ -182,10 +193,66 @@ TEST(MultiPoint, GeneralKernelParityOnUntabulatableLayout) {
   options.lut_config = test_support::small_lut_config();
   const core::DvsBusSystem system(design, options);
   const trace::Trace trace = trace::generate_synthetic(trace_config(32, 800, 31), "wide");
-  for (const double sigma : {0.0, 5e-12})
+  for (const double sigma : {0.0, 5e-12, kWildJitter})
     expect_batch_matches_scalar(system.design(), system.table(), point_grid(), sigma,
                                 {trace.words},
                                 "untabulatable sigma " + std::to_string(sigma));
+}
+
+// `table` with the delay of one switching class set to zero at every
+// voltage of `corner`: a zero arrival is a held verdict. No characterised
+// table has one, so the test writes it into the serialized table and
+// re-seals the payload digest (layout: DelayEnergyTable::save).
+lut::DelayEnergyTable with_held_class(const lut::DelayEnergyTable& table,
+                                      tech::ProcessCorner corner, int cls) {
+  constexpr std::uint64_t kHash = 1;
+  std::stringstream out;
+  table.save(out, kHash);
+  std::string bytes = out.str();
+  const std::size_t n_temps = table.temps().size();
+  const std::size_t n_volts = table.grid().size();
+  const std::size_t delays_at = 16 + 3 * sizeof(double) + 2 * sizeof(std::uint64_t) +
+                                n_temps * sizeof(double) +
+                                table.corners().size() * sizeof(std::int32_t) +
+                                sizeof(std::uint64_t);
+  std::size_t ci = 0;
+  while (table.corners()[ci] != corner) ++ci;
+  const double zero = 0.0;
+  for (std::size_t ti = 0; ti < n_temps; ++ti)
+    for (std::size_t vi = 0; vi < n_volts; ++vi) {
+      const std::size_t index =
+          ((ci * n_temps + ti) * n_volts + vi) * lut::PatternClass::kCount +
+          static_cast<std::size_t>(cls);
+      std::memcpy(&bytes[delays_at + index * sizeof(double)], &zero, sizeof(zero));
+    }
+  lut::Fnv1a digest;
+  digest.mix(bytes.data() + 16, bytes.size() - 16 - sizeof(digest.h));
+  std::memcpy(&bytes[bytes.size() - sizeof(digest.h)], &digest.h, sizeof(digest.h));
+  std::stringstream in(bytes);
+  std::optional<lut::DelayEnergyTable> held = lut::DelayEnergyTable::load(in, kHash);
+  // razorlint: allow(float-eq): the patched delay is an exact 0.0 written above.
+  if (!held || held->delay_at(cls, ci, 0, 0) != 0.0)
+    throw std::logic_error("with_held_class: table layout changed");
+  return *std::move(held);
+}
+
+// A point with a held verdict cannot take the table kernel. In a
+// zero-jitter batch it leaves the all-points fast path for good: every
+// cycle goes through mixed_cycle, where that point takes the per-class
+// kernel (and its held wires fall out of sync) while its neighbours stay
+// on the table kernel. Both must still match the scalar engine.
+TEST(MultiPoint, HeldVerdictPointNextToFastPoints) {
+  const auto& system = system_at(32);
+  const int cls = lut::PatternClass::encode(lut::VictimActivity::rise,
+                                            lut::NeighborActivity::hold,
+                                            lut::NeighborActivity::hold);
+  const lut::DelayEnergyTable table =
+      with_held_class(system.table(), tech::ProcessCorner::slow, cls);
+  const trace::Trace trace =
+      trace::generate_synthetic(trace_config(32, 1200, 51), "held");
+  for (const double sigma : {0.0, 5e-12})
+    expect_batch_matches_scalar(system.design(), table, point_grid(), sigma,
+                                {trace.words}, "held sigma " + std::to_string(sigma));
 }
 
 // The one-shot wrappers return per-point totals in point order.

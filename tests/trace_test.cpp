@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 
 #include "trace/io.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
+#include "util/rng.hpp"
 
 namespace razorbus::trace {
 namespace {
@@ -417,6 +422,115 @@ TEST(TraceIo, EmptyTraceRoundTrips) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->words.empty());
   EXPECT_EQ(loaded->name, "empty");
+}
+
+// Peak resident set of this process so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// Hostile input for the one trace parser: seeded truncations, single-bit
+// flips and splices of v1 and v2 files, through both entry points.
+// load_binary must return a trace or nullopt; load_trace_file and a
+// drained open_trace_stream must return or throw std::runtime_error — no
+// other exception, no crash (the ASan/UBSan leg runs this too) — and all
+// three must agree on which files are traces and on their words. A claimed
+// word count beyond the bytes a file holds is rejected before anything is
+// allocated; on a stream that cannot tell its size, allocation stops at
+// one chunk past the bytes that arrived.
+TEST(TraceIo, LoadSurvivesMutatedBytes) {
+  std::vector<std::string> files;
+  for (const int n_bits : {32, 64, 128}) {
+    SyntheticConfig cfg;
+    cfg.cycles = 300;
+    cfg.n_bits = n_bits;
+    cfg.seed = static_cast<std::uint64_t>(n_bits);
+    std::stringstream out;
+    save_binary(generate_synthetic(cfg, "mutated" + std::to_string(n_bits)), out);
+    files.push_back(out.str());
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "trace_test_mutated.rbtrace").string();
+
+  int accepted = 0;
+  int rejected = 0;
+  const auto check = [&](const std::string& bytes) {
+    std::stringstream in(bytes);
+    std::optional<Trace> loaded;
+    EXPECT_NO_THROW(loaded = load_binary(in));
+    (loaded ? accepted : rejected) += 1;
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      const Trace from_file = load_trace_file(path);
+      ASSERT_TRUE(loaded.has_value());
+      EXPECT_EQ(from_file.words, loaded->words);
+    } catch (const std::runtime_error&) {
+      EXPECT_FALSE(loaded.has_value());
+    }
+    try {
+      const auto source = open_trace_stream(path);
+      std::vector<BusWord> streamed;
+      BusWord block[97];
+      for (std::size_t n; (n = source->next_block(block, 97)) > 0;)
+        streamed.insert(streamed.end(), block, block + n);
+      ASSERT_TRUE(loaded.has_value());
+      EXPECT_EQ(source->n_bits(), loaded->n_bits);
+      EXPECT_EQ(streamed, loaded->words);
+    } catch (const std::runtime_error&) {
+      EXPECT_FALSE(loaded.has_value());
+    }
+  };
+
+  Rng rng(0x7ace5eedull);
+  for (const std::string& file : files) {
+    check(file);
+    // Truncation: every cut of the header, then random cuts.
+    constexpr std::size_t kHeaderBytes = 48;
+    for (std::size_t cut = 0; cut < kHeaderBytes; ++cut) check(file.substr(0, cut));
+    for (int i = 0; i < 50; ++i) check(file.substr(0, rng.next_below(file.size())));
+    // Single-bit flips: every header bit, then random bits anywhere.
+    const auto flipped = [&file](std::size_t bit) {
+      std::string bytes = file;
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+      return bytes;
+    };
+    for (std::size_t bit = 0; bit < kHeaderBytes * 8; ++bit) check(flipped(bit));
+    for (int i = 0; i < 100; ++i) check(flipped(rng.next_below(file.size() * 8)));
+  }
+  // Splices: a prefix of one file followed by the tail of another.
+  for (int i = 0; i < 300; ++i) {
+    const std::string& head = files[rng.next_below(files.size())];
+    const std::string& tail = files[rng.next_below(files.size())];
+    check(head.substr(0, rng.next_below(head.size() + 1)) +
+          tail.substr(rng.next_below(tail.size() + 1)));
+  }
+  // An unseekable stream (a pipe) leaves the claimed word count unchecked
+  // until the payload runs out: the largest admitted claim is still a miss.
+  struct PipeBuf : std::streambuf {
+    explicit PipeBuf(std::string bytes) : data(std::move(bytes)) {
+      setg(data.data(), data.data(), data.data() + data.size());
+    }
+    std::string data;
+  };
+  std::string huge = files[0];
+  const std::uint64_t claim = std::uint64_t{1} << 33;
+  std::memcpy(&huge[8 + 8 + std::string("mutated32").size()], &claim, sizeof(claim));
+  PipeBuf pipe(huge);
+  std::istream unseekable(&pipe);
+  std::optional<Trace> from_pipe;
+  const long rss_before = peak_rss_kib();
+  EXPECT_NO_THROW(from_pipe = load_binary(unseekable));
+  EXPECT_FALSE(from_pipe.has_value());
+  EXPECT_LT(peak_rss_kib() - rss_before, 64 * 1024);
+
+  EXPECT_GE(accepted, 3);  // at least the pristine files
+  EXPECT_GT(rejected, 0);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
